@@ -112,6 +112,30 @@ fn bench_conv_paper(mb: &MicroBench) {
     );
 }
 
+/// The two `predict_paper` layers that dominate its GEMM time, at the
+/// batch of 8 it predicts: `G.enc1`'s forward GEMM (64->128 channels,
+/// 5x5/2, 64x64 output: 128 x 32768 x 1600) and the whole `G.dec6`
+/// deconv forward (128->64 channels on a 64x64 input).
+fn bench_predict_paper_layers(mb: &MicroBench) {
+    let (m, n, k) = (128, 8 * 64 * 64, 64 * 5 * 5);
+    let a = random_tensor(&[m, k], 10);
+    let b = random_tensor(&[k, n], 11);
+    mb.run_costed(&format!("gemm_{m}x{n}x{k}"), KernelCost::gemm(m, n, k), || {
+        matmul(&a, &b).unwrap()
+    });
+    drop((a, b));
+
+    let mut rng = litho_tensor::rng::StdRng::seed_from_u64(12);
+    let mut deconv = ConvTranspose2d::new(128, 64, 5, 2, 2, 1, &mut rng);
+    let z = random_tensor(&[8, 128, 64, 64], 13);
+    let (taps, dcols) = (64 * 5 * 5, 8 * 64 * 64);
+    mb.run_costed(
+        "deconv_fwd_8x128x64x64",
+        KernelCost::gemm(taps, dcols, 128).plus(KernelCost::col2im(taps, dcols)),
+        || deconv.forward(&z, Phase::Eval).unwrap(),
+    );
+}
+
 fn bench_fft(mb: &MicroBench) {
     for &n in &[128usize, 256, 512] {
         let mut rng = litho_tensor::rng::StdRng::seed_from_u64(6);
@@ -135,6 +159,7 @@ fn main() {
     bench_matmul(&mb);
     bench_conv(&mb);
     bench_conv_paper(&mb);
+    bench_predict_paper_layers(&mb);
     bench_batchnorm(&mb);
     bench_fft(&mb);
     mb.flush_json().expect("writing --json-out");

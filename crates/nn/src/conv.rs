@@ -1,7 +1,7 @@
 use litho_tensor::rng::Rng;
 
 use litho_tensor::{
-    conv_backward_fused, im2col_into, matmul_bias_into, Im2ColSpec, Result, Tensor, TensorError,
+    conv_backward_fused, gemm, im2col_into, Im2ColSpec, MatRef, Result, Tensor, TensorError,
 };
 
 use crate::layer::{Layer, Param, Phase};
@@ -144,15 +144,12 @@ impl Layer for Conv2d {
         ensure_shape(&mut self.ws.cols, &[k, ncols]);
         im2col_into(input, &self.spec, &mut self.ws.cols)?;
         // [out_c, k] x [k, n*oh*ow] -> [out_c, n*oh*ow], bias fused into
-        // the GEMM epilogue instead of a separate full-tensor sweep.
+        // the GEMM's last store instead of a separate full-tensor sweep.
         ensure_shape(&mut self.ws.y_mat, &[self.out_channels, ncols]);
-        matmul_bias_into(
-            self.weight.value.as_slice(),
-            self.ws.cols.as_slice(),
+        gemm(
+            MatRef::row_major(self.weight.value.as_slice(), self.out_channels, k),
+            MatRef::row_major(self.ws.cols.as_slice(), k, ncols),
             self.ws.y_mat.as_mut_slice(),
-            self.out_channels,
-            k,
-            ncols,
             Some(self.bias.value.as_slice()),
         );
         if phase == Phase::Train {

@@ -1,8 +1,7 @@
 use litho_tensor::rng::Rng;
 
 use litho_tensor::{
-    col2im_into, im2col_into, matmul_into, matmul_transpose_a_into, matmul_transpose_b_into,
-    Im2ColSpec, Result, Tensor, TensorError,
+    col2im_into, gemm, im2col_into, Im2ColSpec, MatRef, Result, Tensor, TensorError,
 };
 
 use crate::layer::{Layer, Param, Phase};
@@ -161,15 +160,13 @@ impl Layer for ConvTranspose2d {
         let taps = self.out_channels * self.spec.kernel_h * self.spec.kernel_w;
         let ncols = n * ih * iw;
         nchw_to_cm_into(input, &mut self.ws.x_mat)?; // [in_c, n*ih*iw]
-        // [out_c*kh*kw, n*ih*iw]
+        // cols = Wᵀ · x : [out_c*kh*kw, n*ih*iw]
         ensure_shape(&mut self.ws.cols, &[taps, ncols]);
-        matmul_transpose_a_into(
-            self.weight.value.as_slice(),
-            self.ws.x_mat.as_slice(),
+        gemm(
+            MatRef::row_major(self.weight.value.as_slice(), self.in_channels, taps).t(),
+            MatRef::row_major(self.ws.x_mat.as_slice(), self.in_channels, ncols),
             self.ws.cols.as_mut_slice(),
-            self.in_channels,
-            taps,
-            ncols,
+            None,
         );
         // The per-channel bias is fused into the scatter: col2im initialises
         // each output plane to bias[oc] before accumulating.
@@ -215,14 +212,13 @@ impl Layer for ConvTranspose2d {
         im2col_into(grad_output, &self.spec, &mut self.ws.dcols)?; // [out_c*kh*kw, n*ih*iw]
 
         // dW = x · dcolsᵀ
+        let dcols = MatRef::row_major(self.ws.dcols.as_slice(), taps, ncols);
         ensure_shape(&mut self.ws.dw, self.weight.value.dims());
-        matmul_transpose_b_into(
-            cache.x_mat.as_slice(),
-            self.ws.dcols.as_slice(),
+        gemm(
+            MatRef::row_major(cache.x_mat.as_slice(), self.in_channels, ncols),
+            dcols.t(),
             self.ws.dw.as_mut_slice(),
-            self.in_channels,
-            ncols,
-            taps,
+            None,
         );
         self.weight.grad.add_assign(&self.ws.dw)?;
 
@@ -241,13 +237,11 @@ impl Layer for ConvTranspose2d {
 
         // dx = W · dcols
         ensure_shape(&mut self.ws.dx_mat, &[self.in_channels, ncols]);
-        matmul_into(
-            self.weight.value.as_slice(),
-            self.ws.dcols.as_slice(),
+        gemm(
+            MatRef::row_major(self.weight.value.as_slice(), self.in_channels, taps),
+            dcols,
             self.ws.dx_mat.as_mut_slice(),
-            self.in_channels,
-            taps,
-            ncols,
+            None,
         );
         // Return the lent x_mat buffer to the workspace for the next step.
         self.ws.x_mat = cache.x_mat;

@@ -47,7 +47,10 @@ fn write_f32s<W: Write>(w: &mut W, data: &[f32]) -> Result<()> {
 }
 
 fn read_f32s<R: Read>(r: &mut R, n: usize) -> Result<Vec<f32>> {
-    let mut bytes = vec![0u8; n * 4];
+    let len = n
+        .checked_mul(4)
+        .ok_or_else(|| TensorError::InvalidArgument(format!("{n} floats overflow a byte count")))?;
+    let mut bytes = vec![0u8; len];
     r.read_exact(&mut bytes).map_err(io_err)?;
     Ok(bytes
         .chunks_exact(4)
@@ -104,81 +107,74 @@ pub fn load_weights<R: Read>(net: &mut dyn Layer, reader: R) -> Result<()> {
         ));
     }
 
+    // Every count in the stream is checked against the target network
+    // before anything is sized from it, so a corrupt header is an error,
+    // never a header-sized allocation; nothing is mutated until the whole
+    // stream has been read.
+    let mut want_dims: Vec<Vec<usize>> = Vec::new();
+    net.visit_params(&mut |p| want_dims.push(p.value.dims().to_vec()));
+    let mut want_lens: Vec<usize> = Vec::new();
+    net.visit_buffers(&mut |b| want_lens.push(b.len()));
+
     let n_params = read_u32(&mut r)? as usize;
+    if n_params != want_dims.len() {
+        return Err(TensorError::InvalidArgument(format!(
+            "network has {} parameters, stream has {n_params}",
+            want_dims.len()
+        )));
+    }
     let mut params = Vec::with_capacity(n_params);
-    for _ in 0..n_params {
+    for want in &want_dims {
         let rank = read_u32(&mut r)? as usize;
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(read_u32(&mut r)? as usize);
+        if rank != want.len() {
+            return Err(TensorError::InvalidArgument(format!(
+                "stream tensor has rank {rank}, network expects shape {want:?}"
+            )));
         }
-        let volume: usize = dims.iter().product();
-        let data = read_f32s(&mut r, volume)?;
+        let dims = (0..rank)
+            .map(|_| read_u32(&mut r).map(|d| d as usize))
+            .collect::<Result<Vec<_>>>()?;
+        if &dims != want {
+            return Err(TensorError::ShapeMismatch {
+                left: want.clone(),
+                right: dims,
+            });
+        }
+        let data = read_f32s(&mut r, want.iter().product())?;
         params.push(Tensor::from_vec(data, &dims)?);
     }
 
     let n_buffers = read_u32(&mut r)? as usize;
+    if n_buffers != want_lens.len() {
+        return Err(TensorError::InvalidArgument(format!(
+            "network has {} buffers, stream has {n_buffers}",
+            want_lens.len()
+        )));
+    }
     let mut buffers = Vec::with_capacity(n_buffers);
-    for _ in 0..n_buffers {
+    for &want in &want_lens {
         let len = read_u32(&mut r)? as usize;
+        if len != want {
+            return Err(TensorError::LengthMismatch {
+                expected: want,
+                actual: len,
+            });
+        }
         buffers.push(read_f32s(&mut r, len)?);
     }
 
-    // Count and validate before mutating anything.
-    let mut have_params = 0;
-    net.visit_params(&mut |_| have_params += 1);
-    if have_params != n_params {
-        return Err(TensorError::InvalidArgument(format!(
-            "network has {have_params} parameters, stream has {n_params}"
-        )));
-    }
-    let mut have_buffers = 0;
-    net.visit_buffers(&mut |_| have_buffers += 1);
-    if have_buffers != n_buffers {
-        return Err(TensorError::InvalidArgument(format!(
-            "network has {have_buffers} buffers, stream has {n_buffers}"
-        )));
-    }
-
-    let mut idx = 0;
-    let mut shape_err: Option<TensorError> = None;
+    let mut params = params.into_iter();
     net.visit_params(&mut |p| {
-        if shape_err.is_some() {
-            return;
+        if let Some(value) = params.next() {
+            p.value = value;
         }
-        if p.value.dims() != params[idx].dims() {
-            shape_err = Some(TensorError::ShapeMismatch {
-                left: p.value.dims().to_vec(),
-                right: params[idx].dims().to_vec(),
-            });
-            return;
-        }
-        p.value = params[idx].clone();
-        idx += 1;
     });
-    if let Some(err) = shape_err {
-        return Err(err);
-    }
-
-    let mut bidx = 0;
-    let mut len_err: Option<TensorError> = None;
+    let mut buffers = buffers.into_iter();
     net.visit_buffers(&mut |b| {
-        if len_err.is_some() {
-            return;
+        if let Some(value) = buffers.next() {
+            b.copy_from_slice(&value);
         }
-        if b.len() != buffers[bidx].len() {
-            len_err = Some(TensorError::LengthMismatch {
-                expected: b.len(),
-                actual: buffers[bidx].len(),
-            });
-            return;
-        }
-        b.copy_from_slice(&buffers[bidx]);
-        bidx += 1;
     });
-    if let Some(err) = len_err {
-        return Err(err);
-    }
     Ok(())
 }
 
@@ -273,5 +269,73 @@ mod tests {
         different.push(Linear::new(3, 5, &mut rng));
         different.push(Linear::new(5, 2, &mut rng));
         assert!(load_weights(&mut different, bytes.as_slice()).is_err());
+    }
+
+    fn words(words: &[u32]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    fn stream(header: &[u32]) -> Vec<u8> {
+        [MAGIC.as_slice(), &words(header)].concat()
+    }
+
+    #[test]
+    fn rejects_oversized_header_fields() {
+        // small_net: 4 parameters, [4, 3], [4], [2, 4], [2]; no buffers.
+        let mut net = small_net(0);
+        let max = u32::MAX;
+        for (what, bytes) in [
+            ("param count", stream(&[max])),
+            ("rank", stream(&[4, max])),
+            ("dims", stream(&[4, 2, max, max])),
+            ("dims product", stream(&[4, 2, 1 << 31, 1 << 31])),
+            ("volume", stream(&[4, 2, 1 << 20, 3])),
+        ] {
+            assert!(load_weights(&mut net, bytes.as_slice()).is_err(), "{what}");
+        }
+
+        // A valid parameter section followed by an oversized buffer count.
+        let mut bytes = Vec::new();
+        save_weights(&mut net, &mut bytes).unwrap();
+        bytes.truncate(bytes.len() - 4);
+        bytes.extend(words(&[max]));
+        assert!(
+            load_weights(&mut net, bytes.as_slice()).is_err(),
+            "buffer count"
+        );
+
+        // ... or by an oversized buffer length.
+        let mut bn = Sequential::new();
+        bn.push(BatchNorm2d::new(2));
+        let mut bytes = Vec::new();
+        save_weights(&mut bn, &mut bytes).unwrap();
+        let (mut count, mut section) = (0, 4);
+        bn.visit_buffers(&mut |b| {
+            count += 1;
+            section += 4 + 4 * b.len();
+        });
+        bytes.truncate(bytes.len() - section);
+        bytes.extend(words(&[count, max]));
+        assert!(
+            load_weights(&mut bn, bytes.as_slice()).is_err(),
+            "buffer length"
+        );
+    }
+
+    #[test]
+    fn rejects_every_truncation() {
+        let mut rng = litho_tensor::rng::StdRng::seed_from_u64(5);
+        let mut net = Sequential::new();
+        net.push(crate::Conv2d::new(1, 2, 3, 1, 1, &mut rng));
+        net.push(BatchNorm2d::new(2));
+        let mut bytes = Vec::new();
+        save_weights(&mut net, &mut bytes).unwrap();
+        for cut in 0..bytes.len() {
+            assert!(
+                load_weights(&mut net, &bytes[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
+        load_weights(&mut net, bytes.as_slice()).unwrap();
     }
 }

@@ -1,26 +1,20 @@
 //! Fused convolution backward: weight-gradient GEMM and col2im consumed
 //! while the column buffers are hot.
 //!
-//! The unfused backward pays for two large intermediates at paper shapes
-//! (4×3×256×256 → `cols`/`dcols` are ~20 MB each):
+//! The unfused backward (two GEMMs, then `col2im`) materialises the full
+//! `dcols` matrix — ~20 MB at paper shapes (4×3×256×256) — and a second
+//! pass re-reads it to scatter into the image. [`conv_backward_fused`]
+//! avoids that round trip:
 //!
-//! * `dW = dy · colsᵀ` first materialises the ~20 MB transpose of `cols`
-//!   into scratch, then GEMMs over it — the matrix is written and re-read
-//!   from DRAM purely to make B contiguous.
-//! * `dx = col2im(Wᵀ · dy)` materialises the full ~20 MB `dcols` matrix,
-//!   then a second pass re-reads it to scatter into the image.
-//!
-//! [`conv_backward_fused`] removes both round trips:
-//!
-//! * `dW` streams `dy` and `cols` directly in column blocks sized so the
-//!   `out_c × k` accumulator tile plus both block windows stay
-//!   cache-resident; no transpose is ever built. Each `dW[oc][kk]` is still
-//!   a single sequential fold over columns in ascending order, so the
-//!   scalar level is bit-identical to the unfused `matmul_transpose_b`
-//!   path.
+//! * `dW = dy · colsᵀ` streams `dy` and `cols` directly in column blocks
+//!   sized so the `out_c × k` accumulator tile plus both block windows
+//!   stay cache-resident. Each `dW[oc][kk]` is still a single sequential
+//!   fold over columns in ascending order, so the scalar level is
+//!   bit-identical to the unfused GEMM.
 //! * `dx` walks batch items: a per-thread `[k, oh*ow]` scratch receives
-//!   `Wᵀ · dy_b` (a strided-window GEMM over `dy`'s columns for item `b`)
-//!   and is immediately scattered into image plane `b` while still hot —
+//!   `Wᵀ · dy_b` (one GEMM reading `Wᵀ` through swapped strides and `dy`'s
+//!   column window for item `b` through its row stride) and is
+//!   immediately scattered into image plane `b` while still hot —
 //!   1/n of the unfused intermediate, consumed before it leaves cache.
 //!   Per-plane accumulation order matches `col2im_into` exactly (rows
 //!   `(ci, ky, kx)` outer, then `oy`), so results are bit-identical to the
@@ -33,6 +27,7 @@
 use std::cell::RefCell;
 
 use crate::im2col::{valid_range, Im2ColSpec};
+use crate::matmul::MatRef;
 use crate::pool;
 use crate::simd::KernelLevel;
 use crate::{Result, Tensor, TensorError};
@@ -48,8 +43,6 @@ const PARALLEL_THRESHOLD: usize = 1 << 17;
 thread_local! {
     /// Per-thread `[k, oh*ow]` scratch for one batch item's `Wᵀ · dy_b`.
     static DCOLS_ITEM: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Caller-thread scratch for the materialised `Wᵀ` (`[k, out_c]`).
-    static WT_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Fused convolution backward for the im2col-lowered Conv2d.
@@ -61,11 +54,10 @@ thread_local! {
 /// `col2im(Wᵀ · dy)`. The bias gradient is left to the caller (a cheap
 /// row-sum over `dy`).
 ///
-/// Bit-identical to the unfused
-/// `matmul_transpose_b` + `matmul_transpose_a` + `col2im` composition at
-/// the scalar kernel level; at the AVX2 level the dW block dots reduce
-/// lanes per block (epsilon tier), while dx stays exact versus unfused
-/// AVX2.
+/// Bit-identical to the unfused `dy · colsᵀ`, `Wᵀ · dy` GEMMs + `col2im`
+/// composition at the scalar kernel level; at the AVX2 level the dW block
+/// dots reduce lanes per block (epsilon tier), while dx stays exact versus
+/// unfused AVX2.
 ///
 /// # Errors
 ///
@@ -203,90 +195,69 @@ fn dx_per_item(
     let dst_len = dst.len();
     let base = pool::SendPtr::new(dst.as_mut_ptr());
 
-    WT_SCRATCH.with(|cell| {
-        let mut wt = cell.borrow_mut();
-        // Materialise Wᵀ once (`[k, out_c]`, a few KB): identical values to
-        // the unfused `matmul_transpose_a` scratch.
-        wt.clear();
-        wt.resize(k * out_c, 0.0);
-        for row in 0..out_c {
-            let w_row = &weight[row * k..(row + 1) * k];
-            for (col, &v) in w_row.iter().enumerate() {
-                wt[col * out_c + row] = v;
-            }
-        }
-        let wt: &[f32] = &wt;
-        let taps = spec.kernel_h * spec.kernel_w;
+    // Wᵀ is read in place through swapped strides; B is dy's column window
+    // for item b, read in place with row stride `ncols`.
+    let wt = MatRef::row_major(weight, out_c, k).t();
+    let taps = spec.kernel_h * spec.kernel_w;
 
-        let scatter_item = move |b: usize| {
-            DCOLS_ITEM.with(|dc| {
-                let mut dcols = dc.borrow_mut();
-                dcols.clear();
-                dcols.resize(k * item_cols, 0.0);
-                // Strided window GEMM: B is dy's column range for item b,
-                // read in place with row stride `ncols`.
-                crate::matmul::gemm_window_serial(
-                    wt,
-                    &dy[b * item_cols..],
-                    &mut dcols,
-                    k,
-                    out_c,
-                    item_cols,
-                    ncols,
-                    level,
-                );
-                let plane = h * w;
-                for ci in 0..c {
-                    let start = (b * c + ci) * plane;
-                    debug_assert!(start + plane <= dst_len);
-                    // SAFETY: item tasks touch disjoint `b` image planes;
-                    // the buffer outlives the blocking parallel_for call.
-                    let dst_plane =
-                        unsafe { std::slice::from_raw_parts_mut(base.get().add(start), plane) };
-                    dst_plane.fill(0.0);
-                    for ky in 0..spec.kernel_h {
-                        for kx in 0..spec.kernel_w {
-                            let row = ci * taps + ky * spec.kernel_w + kx;
-                            let row_base = row * item_cols;
-                            let off_x = kx as isize - spec.pad_w as isize;
-                            let (ox_lo, ox_hi) = valid_range(off_x, spec.stride_w, w, ow);
-                            if ox_lo >= ox_hi {
+    let scatter_item = move |b: usize| {
+        DCOLS_ITEM.with(|dc| {
+            let mut dcols = dc.borrow_mut();
+            // Fully overwritten by the GEMM: no need to clear.
+            dcols.resize(k * item_cols, 0.0);
+            let dy_b = MatRef::new(&dy[b * item_cols..], out_c, item_cols, ncols, 1);
+            crate::matmul::gemm_at(level, wt, dy_b, &mut dcols, None);
+            let plane = h * w;
+            for ci in 0..c {
+                let start = (b * c + ci) * plane;
+                debug_assert!(start + plane <= dst_len);
+                // SAFETY: item tasks touch disjoint `b` image planes;
+                // the buffer outlives the blocking parallel_for call.
+                let dst_plane =
+                    unsafe { std::slice::from_raw_parts_mut(base.get().add(start), plane) };
+                dst_plane.fill(0.0);
+                for ky in 0..spec.kernel_h {
+                    for kx in 0..spec.kernel_w {
+                        let row = ci * taps + ky * spec.kernel_w + kx;
+                        let row_base = row * item_cols;
+                        let off_x = kx as isize - spec.pad_w as isize;
+                        let (ox_lo, ox_hi) = valid_range(off_x, spec.stride_w, w, ow);
+                        if ox_lo >= ox_hi {
+                            continue;
+                        }
+                        for oy in 0..oh {
+                            let iy = (oy * spec.stride_h + ky) as isize - spec.pad_h as isize;
+                            if iy < 0 || iy >= h as isize {
                                 continue;
                             }
-                            for oy in 0..oh {
-                                let iy = (oy * spec.stride_h + ky) as isize - spec.pad_h as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                let col_base = row_base + oy * ow;
-                                let dst_row = iy as usize * w;
-                                let base_ix = ((ox_lo * spec.stride_w) as isize + off_x) as usize;
-                                let seg = &dcols[col_base + ox_lo..col_base + ox_hi];
-                                if spec.stride_w == 1 {
-                                    let out_seg = &mut dst_plane
-                                        [dst_row + base_ix..dst_row + base_ix + seg.len()];
-                                    crate::simd::add_assign(level, out_seg, seg);
-                                } else {
-                                    for (idx, &v) in seg.iter().enumerate() {
-                                        dst_plane[dst_row + base_ix + idx * spec.stride_w] += v;
-                                    }
+                            let col_base = row_base + oy * ow;
+                            let dst_row = iy as usize * w;
+                            let base_ix = ((ox_lo * spec.stride_w) as isize + off_x) as usize;
+                            let seg = &dcols[col_base + ox_lo..col_base + ox_hi];
+                            if spec.stride_w == 1 {
+                                let out_seg = &mut dst_plane
+                                    [dst_row + base_ix..dst_row + base_ix + seg.len()];
+                                crate::simd::add_assign(level, out_seg, seg);
+                            } else {
+                                for (idx, &v) in seg.iter().enumerate() {
+                                    dst_plane[dst_row + base_ix + idx * spec.stride_w] += v;
                                 }
                             }
                         }
                     }
                 }
-            });
-        };
-
-        let work = k * out_c * ncols;
-        if work < PARALLEL_THRESHOLD || pool::effective_threads() <= 1 || n == 1 {
-            for b in 0..n {
-                scatter_item(b);
             }
-        } else {
-            pool::parallel_for(n, scatter_item);
+        });
+    };
+
+    let work = k * out_c * ncols;
+    if work < PARALLEL_THRESHOLD || pool::effective_threads() <= 1 || n == 1 {
+        for b in 0..n {
+            scatter_item(b);
         }
-    });
+    } else {
+        pool::parallel_for(n, scatter_item);
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -346,7 +317,7 @@ mod tests {
     use super::*;
     use crate::rng::{Rng, SeedableRng};
     use crate::simd::{detect_level, with_level};
-    use crate::{col2im, matmul_transpose_a_into, matmul_transpose_b_into};
+    use crate::{col2im, gemm};
 
     fn random_vec(len: usize, seed: u64) -> Vec<f32> {
         let mut rng = crate::rng::StdRng::seed_from_u64(seed);
@@ -366,10 +337,11 @@ mod tests {
         k: usize,
         ncols: usize,
     ) -> (Vec<f32>, Tensor) {
+        let dy_m = MatRef::row_major(dy, out_c, ncols);
         let mut dw = vec![0.0; out_c * k];
-        matmul_transpose_b_into(dy, cols, &mut dw, out_c, ncols, k);
+        gemm(dy_m, MatRef::row_major(cols, k, ncols).t(), &mut dw, None);
         let mut dcols = vec![0.0; k * ncols];
-        matmul_transpose_a_into(weight, dy, &mut dcols, out_c, k, ncols);
+        gemm(MatRef::row_major(weight, out_c, k).t(), dy_m, &mut dcols, None);
         let dcols_t = Tensor::from_vec(dcols, &[k, ncols]).unwrap();
         let dx = col2im(&dcols_t, spec, dims[0], dims[1], dims[2], dims[3]).unwrap();
         (dw, dx)

@@ -5,8 +5,9 @@
 //!
 //! * [`Tensor`] — a dense, row-major, NCHW-friendly `f32` tensor with shape
 //!   arithmetic, element-wise operations and reductions.
-//! * [`matmul`] — cache-blocked, register-tiled matrix multiplication,
-//!   parallelised on the persistent [`pool`] worker pool.
+//! * [`gemm`] — one packed, cache-blocked GEMM over strided [`MatRef`]
+//!   operands (plus the [`matmul`] tensor wrappers), parallelised on the
+//!   persistent [`pool`] worker pool.
 //! * [`pool`] — the process-wide worker pool shared by every parallel
 //!   kernel (`--threads` / `LITHO_THREADS` control its size).
 //! * [`im2col`] — the im2col/col2im lowering used by convolution and
@@ -55,10 +56,7 @@ pub use error::TensorError;
 pub use fft::Complex;
 pub use fused::conv_backward_fused;
 pub use im2col::{col2im, col2im_into, im2col, im2col_into, Im2ColSpec};
-pub use matmul::{
-    matmul, matmul_bias_into, matmul_into, matmul_transpose_a, matmul_transpose_a_into,
-    matmul_transpose_b, matmul_transpose_b_into,
-};
+pub use matmul::{gemm, matmul, matmul_transpose_a, matmul_transpose_b, MatRef};
 pub use shape::Shape;
 pub use simd::{active_level, configure_simd, detect_level, parse_level, with_level, KernelLevel};
 pub use tensor::Tensor;

@@ -1,25 +1,34 @@
-//! Cache-blocked, register-tiled, pool-parallel matrix multiplication.
+//! One packed, cache-blocked GEMM over strided operands, BLIS style (Van
+//! Zee & van de Geijn, TOMS 2015).
 //!
 //! The NN stack lowers convolutions onto GEMM via im2col, so this is the
-//! hottest kernel in the whole reproduction. The micro-kernel computes an
-//! `MR x NR` output tile in registers, streaming a packed panel of A and
-//! contiguous rows of B, and writes each tile exactly once — the naive
-//! i-k-j formulation re-reads and re-writes the full output row `k` times,
-//! which is what made the old kernel memory-bound at paper shapes.
+//! hottest kernel in the reproduction. Operands are [`MatRef`] descriptors
+//! `(data, rows, cols, row_stride, col_stride)`: a transpose is swapped
+//! strides and a column window of a wider matrix is a row stride larger
+//! than its width, so no caller ever materialises a transposed copy.
 //!
-//! Determinism contract: the `k` (reduction) dimension is never split.
-//! Every output element is a single sequential fold over `p = 0..k`
-//! starting from 0.0, exactly like the textbook triple loop, so the
-//! blocked, packed and pool-parallel paths are bit-identical to the serial
-//! naive reference for any tile geometry and any thread count.
+//! Loop nest (`jc / pc / ic / jr / ir`):
 //!
-//! Kernel levels: at [`KernelLevel::Scalar`] the fold is `acc += a*b`
-//! (exact vs the naive reference); at [`KernelLevel::Avx2`] every element
-//! is a sequential *FMA* fold over `p` (vectorised across output columns,
-//! never across `k`), so results are identical across tile positions and
-//! thread counts at a fixed level, and within a small relative tier of the
-//! scalar reference. The level is resolved once per public entry on the
-//! caller thread and passed into pool closures.
+//! * `jc` walks `NC`-column blocks of B and C, `pc` walks `KC`-deep blocks
+//!   of the reduction. Each `KC x NC` block of B is packed once into
+//!   zero-padded `NR`-column micro-panels (4 MB, resident in L3).
+//! * `ic` walks `MC`-row blocks of A, each packed into zero-padded
+//!   `MR`-row micro-panels (`MC x KC` = 144 KB, resident in L2).
+//! * `jr / ir` walk `MR x NR` tiles. The micro-kernel streams one `KC x MR`
+//!   A panel (6 KB) against one `KC x NR` B panel (16 KB), both L1
+//!   resident, into a 6×16 register tile (12 `__m256` accumulators at
+//!   [`KernelLevel::Avx2`], a scalar twin at [`KernelLevel::Scalar`]).
+//!   A partial tile runs the same micro-kernel into a stack tile and only
+//!   its valid part is copied out.
+//!
+//! Determinism contract: every output element is one ascending fold over
+//! `p = 0..k` starting at 0.0 — `acc += a*b` at Scalar, a fused
+//! multiply-add at Avx2 — followed by `+ bias` (or `+ 0.0`). A `KC` block
+//! stores the raw f32 accumulator to C and the next block reloads it and
+//! continues the same fold, so blocking never reassociates anything: the
+//! result is bit-identical to the naive sequential fold for any block or
+//! tile position and any thread count. The level is resolved once per
+//! public entry on the caller thread and passed into pool closures.
 
 use std::cell::RefCell;
 
@@ -27,12 +36,19 @@ use crate::pool;
 use crate::simd::KernelLevel;
 use crate::{Result, Tensor, TensorError};
 
-/// Micro-tile rows: accumulators live in `MR x NR` registers.
-const MR: usize = 4;
-/// Micro-tile columns; 8 f32 keeps the accumulator block within the
-/// baseline x86-64 / aarch64 vector register budget so LLVM can keep it
-/// entirely in registers.
-const NR: usize = 8;
+/// Micro-tile rows.
+const MR: usize = 6;
+/// Micro-tile columns: two 8-lane vectors, so the 6×16 tile is 12 of the
+/// 16 `ymm` registers, leaving room for two B vectors and one A broadcast.
+const NR: usize = 16;
+/// Reduction block depth: one `KC x NR` B micro-panel is 16 KB (L1).
+const KC: usize = 256;
+/// Row block (a multiple of `MR`): one packed `MC x KC` A block is 144 KB
+/// (L2), re-read once per B micro-panel.
+const MC: usize = 144;
+/// Column block (a multiple of `NR`): one packed `KC x NC` B block is 4 MB
+/// (L3), re-read once per A block.
+const NC: usize = 4096;
 
 /// Minimum number of multiply-accumulates before the worker pool is used.
 const PARALLEL_THRESHOLD: usize = 1 << 17;
@@ -42,11 +58,94 @@ const PARALLEL_THRESHOLD: usize = 1 << 17;
 const WORK_PER_TASK: usize = 1 << 17;
 
 thread_local! {
-    /// Per-thread packed-A panel, reused across calls (grown on demand).
-    static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread scratch for materialized transposes in the `_transpose_*`
-    /// entry points, reused across calls.
-    static TRANSPOSE_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread packed A block and B block, grown on demand and reused.
+    static PANELS: RefCell<[Vec<f32>; 2]> = const { RefCell::new([Vec::new(), Vec::new()]) };
+}
+
+/// A read-only strided matrix view: element `(i, j)` is
+/// `data[i * row_stride + j * col_stride]`.
+///
+/// # Example
+///
+/// ```
+/// use litho_tensor::{gemm, MatRef};
+///
+/// // [2, 3] row-major, used as its [3, 2] transpose.
+/// let x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+/// let mut out = [0.0; 4];
+/// gemm(MatRef::row_major(&x, 2, 3), MatRef::row_major(&x, 2, 3).t(), &mut out, None);
+/// assert_eq!(out, [14.0, 32.0, 32.0, 77.0]);
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct MatRef<'a> {
+    data: &'a [f32],
+    rows: usize,
+    cols: usize,
+    row_stride: usize,
+    col_stride: usize,
+}
+
+impl<'a> MatRef<'a> {
+    /// A `rows x cols` view with explicit strides.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the view reaches past the end of `data`.
+    pub fn new(
+        data: &'a [f32],
+        rows: usize,
+        cols: usize,
+        row_stride: usize,
+        col_stride: usize,
+    ) -> Self {
+        if rows > 0 && cols > 0 {
+            let last = (rows - 1) * row_stride + (cols - 1) * col_stride;
+            assert!(last < data.len(), "matrix view exceeds its data");
+        }
+        MatRef {
+            data,
+            rows,
+            cols,
+            row_stride,
+            col_stride,
+        }
+    }
+
+    /// A dense row-major `rows x cols` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != rows * cols`.
+    pub fn row_major(data: &'a [f32], rows: usize, cols: usize) -> Self {
+        assert_eq!(data.len(), rows * cols, "row-major matrix length");
+        MatRef::new(data, rows, cols, cols, 1)
+    }
+
+    /// The transpose: swapped dimensions and strides, no copy.
+    pub fn t(self) -> Self {
+        MatRef {
+            rows: self.cols,
+            cols: self.rows,
+            row_stride: self.col_stride,
+            col_stride: self.row_stride,
+            ..self
+        }
+    }
+
+    /// The `rows x cols` sub-block starting at `(r0, c0)`.
+    fn block(self, r0: usize, rows: usize, c0: usize, cols: usize) -> Self {
+        let data = if rows == 0 || cols == 0 {
+            &[]
+        } else {
+            &self.data[r0 * self.row_stride + c0 * self.col_stride..]
+        };
+        MatRef {
+            data,
+            rows,
+            cols,
+            ..self
+        }
+    }
 }
 
 fn dims_2d(t: &Tensor) -> Result<[usize; 2]> {
@@ -58,6 +157,25 @@ fn dims_2d(t: &Tensor) -> Result<[usize; 2]> {
         });
     }
     Ok([d[0], d[1]])
+}
+
+/// Tensor-level product with optional operand transposes.
+fn tensor_gemm(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Result<Tensor> {
+    let (left, right) = (dims_2d(a)?, dims_2d(b)?);
+    let mut av = MatRef::row_major(a.as_slice(), left[0], left[1]);
+    let mut bv = MatRef::row_major(b.as_slice(), right[0], right[1]);
+    if ta {
+        av = av.t();
+    }
+    if tb {
+        bv = bv.t();
+    }
+    if av.cols != bv.rows {
+        return Err(TensorError::MatmulDimMismatch { left, right });
+    }
+    let mut out = Tensor::zeros(&[av.rows, bv.cols]);
+    gemm(av, bv, out.as_mut_slice(), None);
+    Ok(out)
 }
 
 /// Computes `c = a * b` for 2-D tensors.
@@ -78,17 +196,7 @@ fn dims_2d(t: &Tensor) -> Result<[usize; 2]> {
 /// # Ok::<(), litho_tensor::TensorError>(())
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let [m, k] = dims_2d(a)?;
-    let [k2, n] = dims_2d(b)?;
-    if k != k2 {
-        return Err(TensorError::MatmulDimMismatch {
-            left: [m, k],
-            right: [k2, n],
-        });
-    }
-    let mut out = Tensor::zeros(&[m, n]);
-    matmul_into(a.as_slice(), b.as_slice(), out.as_mut_slice(), m, k, n);
-    Ok(out)
+    tensor_gemm(a, b, false, false)
 }
 
 /// Computes `c = aᵀ * b` where `a` is `[k, m]` and `b` is `[k, n]`.
@@ -99,17 +207,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 ///
 /// Same conditions as [`matmul`].
 pub fn matmul_transpose_a(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let [k, m] = dims_2d(a)?;
-    let [k2, n] = dims_2d(b)?;
-    if k != k2 {
-        return Err(TensorError::MatmulDimMismatch {
-            left: [k, m],
-            right: [k2, n],
-        });
-    }
-    let mut out = Tensor::zeros(&[m, n]);
-    matmul_transpose_a_into(a.as_slice(), b.as_slice(), out.as_mut_slice(), k, m, n);
-    Ok(out)
+    tensor_gemm(a, b, true, false)
 }
 
 /// Computes `c = a * bᵀ` where `a` is `[m, k]` and `b` is `[n, k]`.
@@ -120,424 +218,343 @@ pub fn matmul_transpose_a(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 ///
 /// Same conditions as [`matmul`].
 pub fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let [m, k] = dims_2d(a)?;
-    let [n, k2] = dims_2d(b)?;
-    if k != k2 {
-        return Err(TensorError::MatmulDimMismatch {
-            left: [m, k],
-            right: [n, k2],
-        });
-    }
-    let mut out = Tensor::zeros(&[m, n]);
-    matmul_transpose_b_into(a.as_slice(), b.as_slice(), out.as_mut_slice(), m, k, n);
-    Ok(out)
+    tensor_gemm(a, b, false, true)
 }
 
-/// Raw GEMM on slices: `out[m x n] = a[m x k] * b[k x n]`.
+/// `c[m x n] = a[m x k] * b[k x n] (+ bias)`, with `c` dense row-major and
+/// fully overwritten.
 ///
-/// `out` is fully overwritten. Parallelises over disjoint row bands on the
-/// shared worker pool when the work exceeds an internal threshold.
+/// When `bias` is `Some`, `bias[i]` joins every element of row `i` after
+/// its `k` reduction, as the last block's tiles are stored — bit-identical
+/// to a separate sweep after the GEMM, without the extra pass. Runs on the
+/// shared worker pool above an internal work threshold and emits one
+/// `gemm[{m}x{n}x{k}]` kernel span.
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths do not match `m*k`, `k*n` and `m*n`.
-pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_bias_into(a, b, out, m, k, n, None);
+/// Panics if the inner dimensions disagree, `c.len() != m * n`, or the
+/// bias length is not `m`.
+pub fn gemm(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], bias: Option<&[f32]>) {
+    let (m, n, k) = (a.rows, b.cols, a.cols);
+    let _span = (m > 0 && n > 0).then(|| {
+        crate::profile::kernel_span(
+            || format!("gemm[{m}x{n}x{k}]"),
+            crate::profile::KernelCost::gemm(m, n, k),
+        )
+    });
+    // Resolve the kernel level once, on the caller thread, so pool workers
+    // inherit it and a single GEMM never mixes implementations.
+    gemm_at(crate::simd::active_level(), a, b, c, bias);
 }
 
-/// [`matmul_into`] with a fused per-row bias epilogue: when `bias` is
-/// `Some`, `bias[i]` is added to every element of output row `i` as the
-/// tile is stored, replacing a separate full-tensor sweep. The result is
-/// bit-identical to computing the GEMM first and adding the bias after,
-/// since the bias joins each element's fold only after the `k` reduction.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match `m*k`, `k*n`, `m*n` (and `m` for
-/// the bias).
-pub fn matmul_bias_into(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
+/// [`gemm`] at an explicit level and without a span, for kernels that
+/// resolved the level themselves and carry their own span. Called from
+/// inside a pool task, its own pool split runs inline.
+pub(crate) fn gemm_at(
+    level: KernelLevel,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    c: &mut [f32],
     bias: Option<&[f32]>,
 ) {
-    assert_eq!(a.len(), m * k, "lhs length");
-    assert_eq!(b.len(), k * n, "rhs length");
-    assert_eq!(out.len(), m * n, "output length");
+    let (m, n, k) = (a.rows, b.cols, a.cols);
+    assert_eq!(k, b.rows, "inner dimensions");
+    assert_eq!(c.len(), m * n, "output length");
     if let Some(bias) = bias {
         assert_eq!(bias.len(), m, "bias length");
     }
     if m == 0 || n == 0 {
         return;
     }
-    let _span = crate::profile::kernel_span(
-        || format!("gemm[{m}x{n}x{k}]"),
-        crate::profile::KernelCost::gemm(m, n, k),
-    );
-    // Resolve the kernel level once, on the caller thread, so pool workers
-    // inherit it and a single GEMM never mixes implementations.
-    let level = crate::simd::active_level();
-
+    let c_ptr = pool::SendPtr::new(c.as_mut_ptr());
     let work = m * n * k.max(1);
     let threads = pool::effective_threads().min((work / WORK_PER_TASK).max(1));
-    if work < PARALLEL_THRESHOLD || threads <= 1 || m < 2 {
-        gemm_block(a, b, out, 0, m, k, n, n, bias, level);
+    let (m_tiles, n_tiles) = (m.div_ceil(MR), n.div_ceil(NR));
+    if work < PARALLEL_THRESHOLD || threads <= 1 {
+        // SAFETY: `c` is exactly the m x n window with row stride n.
+        unsafe { gemm_nest(level, a, b, c_ptr.get(), n, bias) };
+    } else if m_tiles >= n_tiles {
+        // Row bands of whole tiles: each task owns disjoint rows of C.
+        let band = m_tiles.div_ceil(threads.min(m_tiles)) * MR;
+        pool::parallel_for(m.div_ceil(band), |t| {
+            let (r0, rows) = (t * band, band.min(m - t * band));
+            let band_bias = bias.map(|bias| &bias[r0..r0 + rows]);
+            // SAFETY: row band `t` of C is disjoint from every other band's.
+            unsafe {
+                gemm_nest(
+                    level,
+                    a.block(r0, rows, 0, k),
+                    b,
+                    c_ptr.get().add(r0 * n),
+                    n,
+                    band_bias,
+                )
+            };
+        });
+    } else {
+        // Column bands of whole tiles: each task packs only its own B.
+        let band = n_tiles.div_ceil(threads.min(n_tiles)) * NR;
+        pool::parallel_for(n.div_ceil(band), |t| {
+            let (c0, cols) = (t * band, band.min(n - t * band));
+            // SAFETY: column band `t` of C is disjoint from every other's.
+            unsafe {
+                gemm_nest(
+                    level,
+                    a,
+                    b.block(0, k, c0, cols),
+                    c_ptr.get().add(c0),
+                    n,
+                    bias,
+                )
+            };
+        });
+    }
+}
+
+/// The serial `jc / pc / ic / jr / ir` loop nest on the calling thread.
+///
+/// # Safety
+///
+/// `c` must be valid for reads and writes of the `a.rows x b.cols` window
+/// with row stride `ldc`, and nothing else may access that window while
+/// the call runs.
+unsafe fn gemm_nest(
+    level: KernelLevel,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    c: *mut f32,
+    ldc: usize,
+    bias: Option<&[f32]>,
+) {
+    let (m, n, k) = (a.rows, b.cols, a.cols);
+    PANELS.with(|cell| {
+        let [a_pack, b_pack] = &mut *cell.borrow_mut();
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            // At least one reduction block, so k == 0 still stores the bias.
+            for pc in (0..k.max(1)).step_by(KC) {
+                let kc = KC.min(k - pc);
+                let (first, last) = (pc == 0, pc + kc == k);
+                pack(b.block(pc, kc, jc, nc).t(), NR, b_pack);
+                for ic in (0..m).step_by(MC) {
+                    let mc = MC.min(m - ic);
+                    pack(a.block(ic, mc, pc, kc), MR, a_pack);
+                    for jr in (0..nc).step_by(NR) {
+                        let b_panel = &b_pack[jr * kc..(jr + NR) * kc];
+                        for ir in (0..mc).step_by(MR) {
+                            let a_panel = &a_pack[ir * kc..(ir + MR) * kc];
+                            let rows = ic + ir..(ic + ir + MR).min(m);
+                            let mut tile_bias = [0.0f32; MR];
+                            if let Some(bias) = bias {
+                                tile_bias[..rows.len()].copy_from_slice(&bias[rows.clone()]);
+                            }
+                            let tile = Tile {
+                                ptr: c.add(rows.start * ldc + jc + jr),
+                                ldc,
+                                rows: rows.len(),
+                                cols: NR.min(nc - jr),
+                            };
+                            let store = Store {
+                                first,
+                                bias: last.then_some(&tile_bias),
+                            };
+                            tile.run(level, a_panel, b_panel, store);
+                        }
+                    }
+                }
+            }
+        }
+    });
+}
+
+/// Packs the rows of `src` into `width`-row micro-panels laid out
+/// `[panel][col][row]`, zero-padding the last panel. A micro-panel is what
+/// one micro-kernel step reads contiguously: `width` values per reduction
+/// index. B blocks are packed through their transpose, so both operands
+/// share this routine.
+fn pack(src: MatRef<'_>, width: usize, dst: &mut Vec<f32>) {
+    let (rows, depth) = (src.rows, src.cols);
+    let len = rows.div_ceil(width) * width * depth;
+    if dst.len() < len {
+        dst.resize(len, 0.0);
+    }
+    if depth == 0 {
         return;
     }
-
-    let bands = threads.min(m);
-    let rows_per_band = m.div_ceil(bands);
-    pool::parallel_for_chunks(out, rows_per_band * n, |band_idx, chunk| {
-        let row_start = band_idx * rows_per_band;
-        let rows = chunk.len() / n;
-        gemm_block(a, b, chunk, row_start, rows, k, n, n, bias, level);
-    });
-}
-
-/// Computes `out[m x n] = aᵀ b` on slices, where `a` is `[k, m]` and `b`
-/// is `[k, n]`. The transpose is materialised into per-thread scratch
-/// (reused across calls), keeping the GEMM inner loops contiguous.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match `k*m`, `k*n` and `m*n`.
-pub fn matmul_transpose_a_into(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
-    assert_eq!(a.len(), k * m, "lhs length");
-    TRANSPOSE_SCRATCH.with(|cell| {
-        let mut at = cell.borrow_mut();
-        at.clear();
-        at.resize(m * k, 0.0);
-        for row in 0..k {
-            let a_row = &a[row * m..(row + 1) * m];
-            for (col, &v) in a_row.iter().enumerate() {
-                at[col * k + row] = v;
+    for (i, panel) in dst[..len].chunks_exact_mut(width * depth).enumerate() {
+        let (r0, valid) = (i * width, width.min(rows - i * width));
+        if src.row_stride == 1 {
+            // Panel rows are adjacent in memory: copy `valid` per column.
+            for (p, dst) in panel.chunks_exact_mut(width).enumerate() {
+                let at = r0 + p * src.col_stride;
+                dst[..valid].copy_from_slice(&src.data[at..at + valid]);
+                dst[valid..].fill(0.0);
             }
-        }
-        matmul_into(&at, b, out, m, k, n);
-    });
-}
-
-/// Computes `out[m x n] = a bᵀ` on slices, where `a` is `[m, k]` and `b`
-/// is `[n, k]`. The transpose is materialised into per-thread scratch
-/// (reused across calls).
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match `m*k`, `n*k` and `m*n`.
-pub fn matmul_transpose_b_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(b.len(), n * k, "rhs length");
-    TRANSPOSE_SCRATCH.with(|cell| {
-        let mut bt = cell.borrow_mut();
-        bt.clear();
-        bt.resize(k * n, 0.0);
-        for row in 0..n {
-            let b_row = &b[row * k..(row + 1) * k];
-            for (col, &v) in b_row.iter().enumerate() {
-                bt[col * n + row] = v;
-            }
-        }
-        matmul_into(a, &bt, out, m, k, n);
-    });
-}
-
-/// Serial GEMM against a strided window of B: `out[m x n] = a * b_win`
-/// where `b_win[p][j] = b[p * bs + j]`. Runs entirely on the calling
-/// thread — the fused conv backward parallelises over batch items above
-/// this call, so nesting the pool here would only add overhead.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_window_serial(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    bs: usize,
-    level: KernelLevel,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(out.len(), m * n);
-    debug_assert!(k == 0 || n == 0 || (k - 1) * bs + n <= b.len());
-    gemm_block(a, b, out, 0, m, k, n, bs, None, level);
-}
-
-/// Blocked GEMM over `rows` output rows starting at absolute row
-/// `row_start`; `chunk` is the corresponding slice of the output. Packs an
-/// `mr x k` panel of A per row tile (interleaved `[p][r]` so the
-/// micro-kernel loads MR contiguous values per reduction step), then walks
-/// NR-wide column tiles whose B loads are contiguous within each row of B.
-///
-/// `bs` is B's row stride (`bs == n` for a plain contiguous operand). The
-/// fused conv backward passes `bs > n` to multiply against a column window
-/// of a wider `dy` matrix in place, instead of materialising the window.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_block(
-    a: &[f32],
-    b: &[f32],
-    chunk: &mut [f32],
-    row_start: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-    bs: usize,
-    bias: Option<&[f32]>,
-    level: KernelLevel,
-) {
-    PACK_A.with(|cell| {
-        let mut pack = cell.borrow_mut();
-        let mut i = 0;
-        while i < rows {
-            let mr = MR.min(rows - i);
-            pack_a_panel(a, &mut pack, row_start + i, mr, k);
-            let tile_bias: [f32; MR] = std::array::from_fn(|r| match bias {
-                Some(bias) if r < mr => bias[row_start + i + r],
-                _ => 0.0,
-            });
-            let mut j = 0;
-            while j < n {
-                let nr = NR.min(n - j);
-                if mr == MR && nr == NR {
-                    dispatch_full(level, &pack, b, chunk, i, j, k, n, bs, &tile_bias);
+        } else {
+            for r in 0..width {
+                if r < valid {
+                    let row = (r0 + r) * src.row_stride;
+                    for p in 0..depth {
+                        panel[p * width + r] = src.data[row + p * src.col_stride];
+                    }
                 } else {
-                    dispatch_edge(level, &pack, b, chunk, i, j, mr, nr, k, n, bs, &tile_bias);
+                    for p in 0..depth {
+                        panel[p * width + r] = 0.0;
+                    }
                 }
-                j += NR;
             }
-            i += MR;
         }
-    });
+    }
 }
 
-/// Level dispatch for the full tile — one predictable branch per tile.
-#[allow(clippy::too_many_arguments)]
+/// One `rows x cols` (at most `MR x NR`) window of C.
+struct Tile {
+    ptr: *mut f32,
+    ldc: usize,
+    rows: usize,
+    cols: usize,
+}
+
+/// How a micro-kernel call enters and leaves its accumulators.
+#[derive(Clone, Copy)]
+struct Store<'a> {
+    /// First reduction block: start from 0.0 instead of reloading C.
+    first: bool,
+    /// Last reduction block: add this per-row bias as the tile is stored.
+    bias: Option<&'a [f32; MR]>,
+}
+
+impl Tile {
+    /// Runs the micro-kernel for this tile. A partial tile goes through a
+    /// full `MR x NR` stack tile so both levels need only one kernel.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must address a `rows x cols` window of C with row stride
+    /// `ldc`, valid and exclusively owned for the call.
+    unsafe fn run(&self, level: KernelLevel, a: &[f32], b: &[f32], store: Store<'_>) {
+        if self.rows == MR && self.cols == NR {
+            kernel(level, a, b, self.ptr, self.ldc, store);
+            return;
+        }
+        let mut stack = [0.0f32; MR * NR];
+        let row = |r: usize| std::slice::from_raw_parts_mut(self.ptr.add(r * self.ldc), self.cols);
+        if !store.first {
+            for r in 0..self.rows {
+                stack[r * NR..r * NR + self.cols].copy_from_slice(row(r));
+            }
+        }
+        kernel(level, a, b, stack.as_mut_ptr(), NR, store);
+        for r in 0..self.rows {
+            row(r).copy_from_slice(&stack[r * NR..r * NR + self.cols]);
+        }
+    }
+}
+
+/// Level dispatch for the micro-kernel.
+///
+/// # Safety
+///
+/// `c` must address a full `MR x NR` window with row stride `ldc`.
 #[inline]
-fn dispatch_full(
+unsafe fn kernel(
     level: KernelLevel,
-    pack: &[f32],
+    a: &[f32],
     b: &[f32],
-    chunk: &mut [f32],
-    i: usize,
-    j: usize,
-    k: usize,
-    n: usize,
-    bs: usize,
-    bias: &[f32; MR],
+    c: *mut f32,
+    ldc: usize,
+    store: Store<'_>,
 ) {
+    // The AVX2 body reads both panels through raw pointers.
+    assert_eq!(a.len() / MR, b.len() / NR, "panel depths");
     match level {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `KernelLevel::Avx2` is only ever produced by
         // `simd::clamp_to_host`, which checked AVX2+FMA via CPUID.
-        KernelLevel::Avx2 => unsafe { avx2::kernel_full(pack, b, chunk, i, j, k, n, bs, bias) },
-        _ => kernel_full(pack, b, chunk, i, j, k, n, bs, bias),
+        KernelLevel::Avx2 => avx2::kernel(a, b, c, ldc, store),
+        _ => kernel_scalar(a, b, c, ldc, store),
     }
 }
 
-/// Level dispatch for partial tiles. The AVX2-level edge kernel folds with
-/// scalar FMA so an element's result does not depend on which tile kind it
-/// landed in (batched vs single-sample calls tile columns differently).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn dispatch_edge(
-    level: KernelLevel,
-    pack: &[f32],
-    b: &[f32],
-    chunk: &mut [f32],
-    i: usize,
-    j: usize,
-    mr: usize,
-    nr: usize,
-    k: usize,
-    n: usize,
-    bs: usize,
-    bias: &[f32; MR],
-) {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `dispatch_full` — Avx2 implies host AVX2+FMA.
-        KernelLevel::Avx2 => unsafe {
-            avx2::kernel_edge(pack, b, chunk, i, j, mr, nr, k, n, bs, bias)
-        },
-        _ => kernel_edge(pack, b, chunk, i, j, mr, nr, k, n, bs, bias),
+/// Scalar micro-kernel: `acc += a*b` per reduction step, exactly the
+/// naive fold's rounding sequence.
+///
+/// # Safety
+///
+/// As [`kernel`].
+unsafe fn kernel_scalar(a: &[f32], b: &[f32], c: *mut f32, ldc: usize, store: Store<'_>) {
+    let mut acc = [[0.0f32; NR]; MR];
+    if !store.first {
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            acc_row.copy_from_slice(std::slice::from_raw_parts(c.add(r * ldc), NR));
+        }
+    }
+    for (ap, bp) in a.chunks_exact(MR).zip(b.chunks_exact(NR)) {
+        let ap: &[f32; MR] = ap.try_into().expect("MR-wide A step");
+        let bp: &[f32; NR] = bp.try_into().expect("NR-wide B step");
+        for r in 0..MR {
+            for j in 0..NR {
+                acc[r][j] += ap[r] * bp[j];
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        let row = std::slice::from_raw_parts_mut(c.add(r * ldc), NR);
+        match store.bias {
+            Some(bias) => {
+                for (dst, &v) in row.iter_mut().zip(acc_row) {
+                    *dst = v + bias[r];
+                }
+            }
+            None => row.copy_from_slice(acc_row),
+        }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! AVX2+FMA micro-kernels. Lanes run across output *columns*; the `k`
-    //! reduction stays a sequential per-element FMA fold, so the
-    //! determinism contract (no split reductions) holds unchanged.
-    use super::{MR, NR};
+    //! AVX2+FMA micro-kernel. Lanes run across output *columns*; the `k`
+    //! reduction stays a sequential per-element FMA fold.
+    use super::{Store, MR, NR};
     use std::arch::x86_64::*;
 
-    /// Full `MR x NR` tile: 4 × `__m256` accumulators, broadcast-A + FMA.
+    /// 6×16 tile in 12 `__m256` accumulators, broadcast-A + FMA.
     ///
     /// # Safety
     ///
-    /// Caller must ensure the host supports AVX2 and FMA, and that the
-    /// slice geometry matches [`super::kernel_full`]'s contract.
-    #[allow(clippy::too_many_arguments)]
+    /// The host must support AVX2 and FMA, `b` must hold `a.len() / MR`
+    /// steps of `NR` values, and `c` is as in [`super::kernel`].
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn kernel_full(
-        pack: &[f32],
-        b: &[f32],
-        chunk: &mut [f32],
-        i: usize,
-        j: usize,
-        k: usize,
-        n: usize,
-        bs: usize,
-        bias: &[f32; MR],
-    ) {
-        debug_assert!(pack.len() >= k * MR);
-        debug_assert!(k == 0 || (k - 1) * bs + j + NR <= b.len());
-        let mut acc = [_mm256_setzero_ps(); MR];
-        for p in 0..k {
-            let bp = _mm256_loadu_ps(b.as_ptr().add(p * bs + j));
-            let ap = pack.as_ptr().add(p * MR);
+    pub(super) unsafe fn kernel(a: &[f32], b: &[f32], c: *mut f32, ldc: usize, store: Store<'_>) {
+        let steps = a.len() / MR;
+        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
+        if !store.first {
             for (r, acc_r) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*ap.add(r));
-                *acc_r = _mm256_fmadd_ps(av, bp, *acc_r);
+                let row = c.add(r * ldc);
+                *acc_r = [_mm256_loadu_ps(row), _mm256_loadu_ps(row.add(8))];
             }
         }
-        for (r, &acc_r) in acc.iter().enumerate() {
-            debug_assert!((i + r) * n + j + NR <= chunk.len());
-            let v = _mm256_add_ps(acc_r, _mm256_set1_ps(bias[r]));
-            _mm256_storeu_ps(chunk.as_mut_ptr().add((i + r) * n + j), v);
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        for p in 0..steps {
+            let b0 = _mm256_loadu_ps(bp.add(p * NR));
+            let b1 = _mm256_loadu_ps(bp.add(p * NR + 8));
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let av = _mm256_broadcast_ss(&*ap.add(p * MR + r));
+                acc_r[0] = _mm256_fmadd_ps(av, b0, acc_r[0]);
+                acc_r[1] = _mm256_fmadd_ps(av, b1, acc_r[1]);
+            }
         }
-    }
-
-    /// Partial tile at the AVX2 level: same loop structure as the scalar
-    /// edge kernel but folding with `mul_add`, so each element is the same
-    /// sequential FMA fold the full kernel produces — an element's value
-    /// never depends on which tile kind covered it.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the host supports AVX2 and FMA (for the `fma`
-    /// codegen of `mul_add`); slice geometry as in [`super::kernel_edge`].
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn kernel_edge(
-        pack: &[f32],
-        b: &[f32],
-        chunk: &mut [f32],
-        i: usize,
-        j: usize,
-        mr: usize,
-        nr: usize,
-        k: usize,
-        n: usize,
-        bs: usize,
-        bias: &[f32; MR],
-    ) {
-        let mut acc = [[0.0f32; NR]; MR];
-        for p in 0..k {
-            let bp = &b[p * bs + j..p * bs + j + nr];
-            let ap = &pack[p * mr..(p + 1) * mr];
-            for (r, &av) in ap.iter().enumerate() {
-                for (c, &bv) in bp.iter().enumerate() {
-                    acc[r][c] = av.mul_add(bv, acc[r][c]);
+        for (r, &[v0, v1]) in acc.iter().enumerate() {
+            let (v0, v1) = match store.bias {
+                Some(bias) => {
+                    let br = _mm256_set1_ps(bias[r]);
+                    (_mm256_add_ps(v0, br), _mm256_add_ps(v1, br))
                 }
-            }
-        }
-        for (r, acc_row) in acc.iter().enumerate().take(mr) {
-            let row = &mut chunk[(i + r) * n + j..(i + r) * n + j + nr];
-            let bias_r = bias[r];
-            for (dst, &v) in row.iter_mut().zip(acc_row.iter()) {
-                *dst = v + bias_r;
-            }
-        }
-    }
-}
-
-/// Packs `mr` rows of A starting at `row0` into `pack` with layout
-/// `pack[p * mr + r] = a[(row0 + r) * k + p]` — sequential reads, short
-/// strided writes.
-fn pack_a_panel(a: &[f32], pack: &mut Vec<f32>, row0: usize, mr: usize, k: usize) {
-    pack.clear();
-    pack.resize(mr * k, 0.0);
-    for r in 0..mr {
-        let a_row = &a[(row0 + r) * k..(row0 + r + 1) * k];
-        for (p, &v) in a_row.iter().enumerate() {
-            pack[p * mr + r] = v;
-        }
-    }
-}
-
-/// Full `MR x NR` micro-kernel: accumulators stay in registers across the
-/// entire `k` reduction and each output element is written exactly once.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn kernel_full(
-    pack: &[f32],
-    b: &[f32],
-    chunk: &mut [f32],
-    i: usize,
-    j: usize,
-    k: usize,
-    n: usize,
-    bs: usize,
-    bias: &[f32; MR],
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for p in 0..k {
-        let bp: &[f32; NR] = b[p * bs + j..p * bs + j + NR]
-            .try_into()
-            .expect("NR-wide B strip");
-        let ap: &[f32; MR] = pack[p * MR..(p + 1) * MR]
-            .try_into()
-            .expect("MR-wide A strip");
-        for r in 0..MR {
-            let av = ap[r];
-            for c in 0..NR {
-                acc[r][c] += av * bp[c];
-            }
-        }
-    }
-    for r in 0..MR {
-        let row = &mut chunk[(i + r) * n + j..(i + r) * n + j + NR];
-        let bias_r = bias[r];
-        for (dst, &v) in row.iter_mut().zip(acc[r].iter()) {
-            *dst = v + bias_r;
-        }
-    }
-}
-
-/// Edge micro-kernel for partial tiles (`mr <= MR`, `nr <= NR`). Same
-/// accumulation order per element as [`kernel_full`], so results are
-/// bit-identical regardless of how rows and columns fall into tiles.
-#[allow(clippy::too_many_arguments)]
-fn kernel_edge(
-    pack: &[f32],
-    b: &[f32],
-    chunk: &mut [f32],
-    i: usize,
-    j: usize,
-    mr: usize,
-    nr: usize,
-    k: usize,
-    n: usize,
-    bs: usize,
-    bias: &[f32; MR],
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for p in 0..k {
-        let bp = &b[p * bs + j..p * bs + j + nr];
-        let ap = &pack[p * mr..(p + 1) * mr];
-        for (r, &av) in ap.iter().enumerate() {
-            for (c, &bv) in bp.iter().enumerate() {
-                acc[r][c] += av * bv;
-            }
-        }
-    }
-    for (r, acc_row) in acc.iter().enumerate().take(mr) {
-        let row = &mut chunk[(i + r) * n + j..(i + r) * n + j + nr];
-        let bias_r = bias[r];
-        for (dst, &v) in row.iter_mut().zip(acc_row.iter()) {
-            *dst = v + bias_r;
+                None => (v0, v1),
+            };
+            let row = c.add(r * ldc);
+            _mm256_storeu_ps(row, v0);
+            _mm256_storeu_ps(row.add(8), v1);
         }
     }
 }
@@ -566,6 +583,17 @@ mod tests {
         (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
     }
 
+    fn dense(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, bias: Option<&[f32]>) -> Vec<f32> {
+        let mut out = vec![f32::NAN; m * n];
+        gemm(
+            MatRef::row_major(a, m, k),
+            MatRef::row_major(b, k, n),
+            &mut out,
+            bias,
+        );
+        out
+    }
+
     #[test]
     fn matmul_small() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
@@ -590,10 +618,9 @@ mod tests {
 
     #[test]
     fn matmul_bit_identical_to_naive() {
-        // Shapes chosen to exercise full tiles, row/column remainders, and
-        // degenerate m=1 / k=1 cases. Equality is exact at the scalar
-        // level: the blocked kernel must reproduce the naive fold bit for
-        // bit (the AVX2 level is covered by the epsilon-tier oracle).
+        // Full tiles, row/column remainders, degenerate m=1 / k=1, and a
+        // reduction crossing two KC blocks. Exact at the scalar level; the
+        // AVX2 level is held to its own FMA fold in tests/gemm_fold.rs.
         crate::simd::with_level(KernelLevel::Scalar, || {
             for (case, (m, k, n)) in [
                 (0, (33, 47, 29)),
@@ -601,6 +628,7 @@ mod tests {
                 (2, (4, 1, 9)),
                 (3, (5, 3, 1)),
                 (4, (8, 32, 24)),
+                (5, (7, 2 * KC + 3, 17)),
             ]
             .into_iter()
             {
@@ -622,10 +650,7 @@ mod tests {
             let (m, k, n) = (128, 128, 128);
             let a = random_vec(m * k, 11);
             let b = random_vec(k * n, 12);
-            let expect = naive(&a, &b, m, k, n);
-            let mut out = vec![0.0; m * n];
-            matmul_into(&a, &b, &mut out, m, k, n);
-            assert_eq!(out, expect);
+            assert_eq!(dense(&a, &b, m, k, n, None), naive(&a, &b, m, k, n));
         });
     }
 
@@ -642,9 +667,7 @@ mod tests {
                     expect[i * n + j] += bias[i];
                 }
             }
-            let mut out = vec![0.0; m * n];
-            matmul_bias_into(&a, &b, &mut out, m, k, n, Some(&bias));
-            assert_eq!(out, expect);
+            assert_eq!(dense(&a, &b, m, k, n, Some(&bias)), expect);
         });
     }
 
@@ -703,14 +726,8 @@ mod tests {
         let (m, k, n) = (33, 47, 29);
         let a = random_vec(m * k, 41);
         let b = random_vec(k * n, 42);
-        let mut scalar = vec![0.0; m * n];
-        let mut vectored = vec![0.0; m * n];
-        crate::simd::with_level(KernelLevel::Scalar, || {
-            matmul_into(&a, &b, &mut scalar, m, k, n);
-        });
-        crate::simd::with_level(KernelLevel::Avx2, || {
-            matmul_into(&a, &b, &mut vectored, m, k, n);
-        });
+        let scalar = crate::simd::with_level(KernelLevel::Scalar, || dense(&a, &b, m, k, n, None));
+        let vectored = crate::simd::with_level(KernelLevel::Avx2, || dense(&a, &b, m, k, n, None));
         for (i, (&s, &v)) in scalar.iter().zip(vectored.iter()).enumerate() {
             let tol = 1e-5f32.max(s.abs() * 1e-5);
             assert!((s - v).abs() <= tol, "element {i}: scalar {s} vs avx2 {v}");

@@ -15,6 +15,13 @@ LITHO_SIMD=scalar cargo test --workspace -q --offline
 echo "==> cargo test -q --offline (LITHO_SIMD=auto)"
 LITHO_SIMD=auto cargo test --workspace -q --offline
 
+echo "==> benchmark self-tests"
+# The perfbench package (its own workspace) checks every workload at a
+# tiny config, including the traced predict replica's bit-identity
+# against predict_batch, so a kernel change cannot silently break the
+# measuring harness.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
