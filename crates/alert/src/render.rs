@@ -4,6 +4,7 @@
 
 use std::fmt::Write as _;
 
+use litho_ledger::dash::escape_label;
 use litho_ledger::fmt_unix;
 
 use crate::config::AlertRule;
@@ -107,19 +108,6 @@ pub fn alerts_html(active: &[AlertRecord]) -> String {
         );
     }
     out.push_str("</ul></div>\n");
-    out
-}
-
-fn escape_label(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
     out
 }
 

@@ -66,8 +66,8 @@ fn bench_conv(mb: &MicroBench) {
 
     let mut deconv = ConvTranspose2d::new(64, 32, 5, 2, 2, 1, &mut rng);
     let z = random_tensor(&[4, 64, 16, 16], 5);
-    // Deconv forward = Wᵀ·x GEMM into a [out_c*kh*kw, n*ih*iw] column
-    // matrix, then a col2im scatter — costed so the gate tracks GFLOP/s.
+    // Deconv forward = the Wᵀ·x GEMM and the col2im scatter, fused per
+    // item window — costed so the gate tracks GFLOP/s.
     let taps = 32 * 5 * 5;
     let dcols = 4 * 16 * 16;
     mb.run_costed(
@@ -115,7 +115,9 @@ fn bench_conv_paper(mb: &MicroBench) {
 /// The two `predict_paper` layers that dominate its GEMM time, at the
 /// batch of 8 it predicts: `G.enc1`'s forward GEMM (64->128 channels,
 /// 5x5/2, 64x64 output: 128 x 32768 x 1600) and the whole `G.dec6`
-/// deconv forward (128->64 channels on a 64x64 input).
+/// deconv forward (128->64 channels on a 64x64 input); plus `G.dec2`
+/// (512->512 channels on a 2x2 input), where the deconv groups all eight
+/// items into one GEMM window instead of repacking Wᵀ per item.
 fn bench_predict_paper_layers(mb: &MicroBench) {
     let (m, n, k) = (128, 8 * 64 * 64, 64 * 5 * 5);
     let a = random_tensor(&[m, k], 10);
@@ -132,6 +134,16 @@ fn bench_predict_paper_layers(mb: &MicroBench) {
     mb.run_costed(
         "deconv_fwd_8x128x64x64",
         KernelCost::gemm(taps, dcols, 128).plus(KernelCost::col2im(taps, dcols)),
+        || deconv.forward(&z, Phase::Eval).unwrap(),
+    );
+    drop((deconv, z));
+
+    let mut deconv = ConvTranspose2d::new(512, 512, 5, 2, 2, 1, &mut rng);
+    let z = random_tensor(&[8, 512, 2, 2], 14);
+    let (taps, dcols) = (512 * 5 * 5, 8 * 2 * 2);
+    mb.run_costed(
+        "deconv_fwd_8x512x2x2",
+        KernelCost::gemm(taps, dcols, 512).plus(KernelCost::col2im(taps, dcols)),
         || deconv.forward(&z, Phase::Eval).unwrap(),
     );
 }

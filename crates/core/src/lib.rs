@@ -47,7 +47,6 @@ mod health;
 pub mod incident;
 mod lithogan;
 mod netconfig;
-mod unet;
 
 pub use baseline::{BaselinePrediction, ThresholdBaseline};
 pub use cgan::{Cgan, ReconLoss, TrainConfig, TrainHistory, TrainPair};
@@ -56,7 +55,6 @@ pub use dash::{run_dash, DashConfig};
 pub use health::{HealthConfig, HealthMonitor};
 pub use lithogan::{LithoGan, LithoGanPrediction};
 pub use netconfig::NetConfig;
-pub use unet::UNetGenerator;
 
 pub use litho_health::AbortCondition;
 pub use litho_tensor::{Result, Tensor, TensorError};

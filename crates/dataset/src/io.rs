@@ -188,21 +188,44 @@ pub fn save_dataset<P: AsRef<Path>>(dataset: &Dataset, path: P) -> Result<()> {
     Ok(())
 }
 
+/// Longest process-preset name a dataset may declare (`"N10"`, `"N7"`).
+const MAX_NAME_LEN: usize = 16;
+
+/// Largest image side a dataset may declare; the paper's is 256.
+const MAX_IMAGE_SIZE: usize = 1 << 14;
+
+fn corrupt(what: String) -> TensorError {
+    TensorError::InvalidArgument(format!("corrupt dataset: {what}"))
+}
+
 /// Reads a dataset previously written by [`save_dataset`].
+///
+/// Every header field is untrusted: sizes are bounded and checked against
+/// the file's length before anything is allocated from them, so a
+/// truncated or corrupt file is an error, never a panic or a header-sized
+/// allocation.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::InvalidArgument`] on I/O failure, bad magic, or
-/// an unknown process name.
+/// Returns [`TensorError::InvalidArgument`] on I/O failure, bad magic, an
+/// unknown process name, or a header field the file cannot hold.
 pub fn load_dataset<P: AsRef<Path>>(path: P) -> Result<Dataset> {
     let file = std::fs::File::open(path).map_err(io_err)?;
-    let mut r = std::io::BufReader::new(file);
+    let len = file.metadata().map_err(io_err)?.len();
+    read_dataset(&mut std::io::BufReader::new(file), len)
+}
+
+/// [`load_dataset`] over a reader holding exactly `len` bytes.
+fn read_dataset<R: Read>(r: &mut R, len: u64) -> Result<Dataset> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic).map_err(io_err)?;
     if &magic != MAGIC {
         return Err(TensorError::InvalidArgument("not a LGD3 dataset".into()));
     }
-    let name_len = read_u32(&mut r)? as usize;
+    let name_len = read_u32(r)? as usize;
+    if name_len > MAX_NAME_LEN {
+        return Err(corrupt(format!("process name of {name_len} bytes")));
+    }
     let mut name = vec![0u8; name_len];
     r.read_exact(&mut name).map_err(io_err)?;
     let process = match name.as_slice() {
@@ -215,13 +238,13 @@ pub fn load_dataset<P: AsRef<Path>>(path: P) -> Result<Dataset> {
             )))
         }
     };
-    let clip_count = read_u32(&mut r)? as usize;
-    let image_size = read_u32(&mut r)? as usize;
-    let sim_grid = read_u32(&mut r)? as usize;
-    let golden_window_nm = read_f64(&mut r)?;
-    let train_fraction = read_f64(&mut r)?;
-    let seed = read_u64(&mut r)?;
-    let mask_jitter_nm = read_f64(&mut r)?;
+    let clip_count = read_u32(r)? as usize;
+    let image_size = read_u32(r)? as usize;
+    let sim_grid = read_u32(r)? as usize;
+    let golden_window_nm = read_f64(r)?;
+    let train_fraction = read_f64(r)?;
+    let seed = read_u64(r)?;
+    let mask_jitter_nm = read_f64(r)?;
     let config = DatasetConfig {
         process,
         clip_count,
@@ -233,23 +256,39 @@ pub fn load_dataset<P: AsRef<Path>>(path: P) -> Result<Dataset> {
         mask_jitter_nm,
     };
 
-    let count = read_u32(&mut r)? as usize;
+    let count = read_u32(r)? as usize;
     let s = image_size;
+    if s > MAX_IMAGE_SIZE {
+        return Err(corrupt(format!("image size {s}")));
+    }
+    // Bounded above, so none of these can overflow.
+    let mask_len = 3 * s * s;
+    let bits_len = (s * s).div_ceil(8);
+    // The header is the magic, five u32 fields (one the name's length),
+    // the name and four 8-byte fields; a sample is at least its fixed clip
+    // fields, the family/center head, the mask bytes and both golden bit
+    // planes.
+    let header_len = 56 + name_len as u64;
+    let min_sample = (8 + 32 + 4 + 4 + 9 + mask_len + 2 * bits_len) as u64;
+    if (count as u64).saturating_mul(min_sample) > len.saturating_sub(header_len) {
+        return Err(corrupt(format!(
+            "{count} samples of at least {min_sample} bytes in a {len}-byte file"
+        )));
+    }
     let mut samples = Vec::with_capacity(count);
     for _ in 0..count {
-        let clip = read_clip(&mut r)?;
+        let clip = read_clip(r)?;
         let mut head = [0u8; 9];
         r.read_exact(&mut head).map_err(io_err)?;
         let family = family_from(head[0])?;
         let cy = f32::from_le_bytes([head[1], head[2], head[3], head[4]]);
         let cx = f32::from_le_bytes([head[5], head[6], head[7], head[8]]);
-        let mut mask_bytes = vec![0u8; 3 * s * s];
+        let mut mask_bytes = vec![0u8; mask_len];
         r.read_exact(&mut mask_bytes).map_err(io_err)?;
         let mask = Tensor::from_vec(
             mask_bytes.iter().map(|&b| b as f32 / 255.0).collect(),
             &[3, s, s],
         )?;
-        let bits_len = (s * s).div_ceil(8);
         let mut golden_bits = vec![0u8; bits_len];
         r.read_exact(&mut golden_bits).map_err(io_err)?;
         let golden = unpack_bits(&golden_bits, &[s, s])?;
@@ -324,6 +363,50 @@ mod tests {
         let path = dir.join("garbage.lgd");
         std::fs::write(&path, b"not a dataset").unwrap();
         assert!(load_dataset(&path).is_err());
+    }
+
+    /// `tiny_dataset` as file bytes; `tag` keeps parallel tests' files apart.
+    fn tiny_bytes(tag: &str) -> Vec<u8> {
+        let name = format!("lithogan_ds_{}_{tag}.lgd", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        save_dataset(&tiny_dataset(), &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        bytes
+    }
+
+    fn load_bytes(bytes: &[u8]) -> Result<Dataset> {
+        read_dataset(&mut &bytes[..], bytes.len() as u64)
+    }
+
+    #[test]
+    fn rejects_oversized_header_fields() {
+        let bytes = tiny_bytes("oversized");
+        assert!(load_bytes(&bytes).is_ok());
+        // Offsets of the u32 header fields in a file whose name is "N10".
+        let name_len_at = 4;
+        let image_size_at = 4 + 4 + 3 + 4;
+        let count_at = image_size_at + 4 + 4 + 32;
+        for (at, v) in [
+            (name_len_at, u32::MAX),
+            (name_len_at, MAX_NAME_LEN as u32 + 1),
+            (image_size_at, u32::MAX),
+            (image_size_at, MAX_IMAGE_SIZE as u32),
+            (count_at, u32::MAX),
+            (count_at, 2),
+        ] {
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            assert!(load_bytes(&bad).is_err(), "field at {at} = {v} accepted");
+        }
+    }
+
+    #[test]
+    fn rejects_every_truncation() {
+        let bytes = tiny_bytes("truncated");
+        for cut in 0..bytes.len() {
+            assert!(load_bytes(&bytes[..cut]).is_err(), "truncation at {cut} accepted");
+        }
     }
 
     #[test]

@@ -119,7 +119,7 @@ pub struct DashSelfMetrics {
 
 /// Escapes a label value per the exposition format: backslash, quote
 /// and newline.
-fn escape_label(value: &str) -> String {
+pub fn escape_label(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {

@@ -181,8 +181,8 @@ impl Layer for Conv2d {
         }
 
         // dW = dy · colsᵀ and dx = col2im(Wᵀ · dy) in one fused kernel:
-        // the column matrices are consumed in cache-sized windows instead
-        // of materialising the colsᵀ transpose and the full dcols scratch.
+        // colsᵀ is read through strides and dx is scattered from per-item
+        // windows, so neither a transpose nor the full dcols is built.
         ensure_shape(&mut self.ws.dw, self.weight.value.dims());
         let mut dx = Tensor::zeros(&[n, c, h, w]);
         conv_backward_fused(

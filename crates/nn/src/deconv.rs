@@ -1,7 +1,7 @@
 use litho_tensor::rng::Rng;
 
 use litho_tensor::{
-    col2im_into, gemm, im2col_into, Im2ColSpec, MatRef, Result, Tensor, TensorError,
+    conv_transpose_fused, gemm, im2col_into, Im2ColSpec, MatRef, Result, Tensor, TensorError,
 };
 
 use crate::layer::{Layer, Param, Phase};
@@ -10,10 +10,11 @@ use crate::WeightInit;
 
 /// 2-D transposed convolution ("Deconv" in the paper's Table 1).
 ///
-/// Implemented as the adjoint of [`crate::Conv2d`]: the forward pass is a
-/// GEMM followed by a `col2im` scatter, which is exactly the conv backward
-/// data pass. With `kernel = 5, stride = 2, pad = 2, output_pad = 1` the
-/// spatial size doubles — the paper's decoder configuration.
+/// Implemented as the adjoint of [`crate::Conv2d`]: the forward pass is
+/// `col2im(Wᵀ · x) + bias`, the same fused kernel as the conv backward
+/// data pass ([`litho_tensor::conv_transpose_fused`]). With `kernel = 5,
+/// stride = 2, pad = 2, output_pad = 1` the spatial size doubles — the
+/// paper's decoder configuration.
 ///
 /// Weight layout is `[in_c, out_c * kh * kw]`; bias is `[out_c]`.
 ///
@@ -56,7 +57,6 @@ struct DeconvCache {
 #[derive(Debug)]
 struct DeconvWorkspace {
     x_mat: Tensor,
-    cols: Tensor,
     dcols: Tensor,
     dw: Tensor,
     dx_mat: Tensor,
@@ -66,7 +66,6 @@ impl Default for DeconvWorkspace {
     fn default() -> Self {
         DeconvWorkspace {
             x_mat: crate::util::empty(),
-            cols: crate::util::empty(),
             dcols: crate::util::empty(),
             dw: crate::util::empty(),
             dx_mat: crate::util::empty(),
@@ -157,25 +156,17 @@ impl Layer for ConvTranspose2d {
             )));
         }
 
-        let taps = self.out_channels * self.spec.kernel_h * self.spec.kernel_w;
-        let ncols = n * ih * iw;
         nchw_to_cm_into(input, &mut self.ws.x_mat)?; // [in_c, n*ih*iw]
-        // cols = Wᵀ · x : [out_c*kh*kw, n*ih*iw]
-        ensure_shape(&mut self.ws.cols, &[taps, ncols]);
-        gemm(
-            MatRef::row_major(self.weight.value.as_slice(), self.in_channels, taps).t(),
-            MatRef::row_major(self.ws.x_mat.as_slice(), self.in_channels, ncols),
-            self.ws.cols.as_mut_slice(),
-            None,
-        );
-        // The per-channel bias is fused into the scatter: col2im initialises
-        // each output plane to bias[oc] before accumulating.
+        // y = col2im(Wᵀ · x) + bias, with no [out_c*kh*kw, n*ih*iw] matrix
+        // in between.
         let mut y = Tensor::zeros(&[n, self.out_channels, oh, ow]);
-        col2im_into(
-            &self.ws.cols,
-            &self.spec,
+        conv_transpose_fused(
+            self.weight.value.as_slice(),
+            self.ws.x_mat.as_slice(),
+            self.bias.value.as_slice(),
             &mut y,
-            Some(self.bias.value.as_slice()),
+            &self.spec,
+            self.in_channels,
         )?;
         if phase == Phase::Train {
             // Lend the x_mat buffer to the cache; backward returns it.
@@ -335,9 +326,14 @@ mod tests {
 
     #[test]
     fn gradient_check() {
-        let mut rng = litho_tensor::rng::StdRng::seed_from_u64(3);
-        let deconv = ConvTranspose2d::new(3, 2, 3, 2, 1, 1, &mut rng);
-        crate::gradcheck::check_layer(Box::new(deconv), &[2, 3, 4, 4], 1e-2, 2e-2);
+        use litho_tensor::{with_level, KernelLevel};
+        for level in [KernelLevel::Scalar, KernelLevel::Avx2] {
+            let mut rng = litho_tensor::rng::StdRng::seed_from_u64(3);
+            let deconv = ConvTranspose2d::new(3, 2, 3, 2, 1, 1, &mut rng);
+            with_level(level, || {
+                crate::gradcheck::check_layer(Box::new(deconv), &[2, 3, 4, 4], 1e-2, 2e-2)
+            });
+        }
     }
 
     #[test]

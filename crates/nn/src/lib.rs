@@ -62,7 +62,7 @@ pub use init::WeightInit;
 pub use layer::{Flatten, Layer, Param, Phase};
 pub use linear::Linear;
 pub use loss::{bce_with_logits, l1_loss, mse_loss, LossValue};
-pub use optim::{Adam, LinearDecay, Optimizer, Sgd, UpdateStat};
+pub use optim::{Adam, Optimizer, Sgd, UpdateStat};
 pub use pool::MaxPool2d;
 pub use sequential::Sequential;
 pub use stats::{RecordingHook, StatsHook, TensorStats};

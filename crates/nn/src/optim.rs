@@ -255,55 +255,6 @@ impl Optimizer for Adam {
     }
 }
 
-/// A linear learning-rate decay schedule: holds the base rate for the
-/// first `hold_epochs`, then decays linearly to zero by `total_epochs`
-/// (the pix2pix convention; the LithoGAN paper trains at a fixed rate for
-/// its 80 epochs, so this is opt-in).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearDecay {
-    base_lr: f32,
-    hold_epochs: usize,
-    total_epochs: usize,
-}
-
-impl LinearDecay {
-    /// Creates a schedule holding `base_lr` for `hold_epochs`, reaching
-    /// zero at `total_epochs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total_epochs <= hold_epochs`.
-    pub fn new(base_lr: f32, hold_epochs: usize, total_epochs: usize) -> Self {
-        assert!(
-            total_epochs > hold_epochs,
-            "decay phase must be non-empty"
-        );
-        LinearDecay {
-            base_lr,
-            hold_epochs,
-            total_epochs,
-        }
-    }
-
-    /// The learning rate for a (0-based) epoch.
-    pub fn rate_at(&self, epoch: usize) -> f32 {
-        if epoch < self.hold_epochs {
-            self.base_lr
-        } else if epoch >= self.total_epochs {
-            0.0
-        } else {
-            let span = (self.total_epochs - self.hold_epochs) as f32;
-            let into = (epoch - self.hold_epochs) as f32;
-            self.base_lr * (1.0 - into / span)
-        }
-    }
-
-    /// Applies the epoch's rate to an optimizer.
-    pub fn apply(&self, optimizer: &mut dyn Optimizer, epoch: usize) {
-        optimizer.set_learning_rate(self.rate_at(epoch));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,26 +311,6 @@ mod tests {
             last = lv.loss;
         }
         assert!(last < 0.05, "l1 loss {last}");
-    }
-
-    #[test]
-    fn linear_decay_schedule() {
-        let sched = LinearDecay::new(1.0, 4, 8);
-        assert_eq!(sched.rate_at(0), 1.0);
-        assert_eq!(sched.rate_at(3), 1.0);
-        assert_eq!(sched.rate_at(4), 1.0);
-        assert_eq!(sched.rate_at(6), 0.5);
-        assert_eq!(sched.rate_at(8), 0.0);
-        assert_eq!(sched.rate_at(100), 0.0);
-        let mut opt = Adam::paper();
-        sched.apply(&mut opt, 6);
-        assert!((opt.learning_rate() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "decay phase")]
-    fn linear_decay_rejects_empty_phase() {
-        LinearDecay::new(1.0, 8, 8);
     }
 
     #[test]

@@ -1,48 +1,68 @@
-//! Fused convolution backward: weight-gradient GEMM and col2im consumed
-//! while the column buffers are hot.
+//! The one convolution core: `col2im(Wᵀ · x) + bias`, shared by the two
+//! layers that run it in adjoint roles.
 //!
-//! The unfused backward (two GEMMs, then `col2im`) materialises the full
-//! `dcols` matrix — ~20 MB at paper shapes (4×3×256×256) — and a second
-//! pass re-reads it to scatter into the image. [`conv_backward_fused`]
-//! avoids that round trip:
+//! A transposed convolution is the adjoint of a convolution, so
+//! `ConvTranspose2d`'s forward and `Conv2d`'s input gradient are the same
+//! computation: a GEMM through `Wᵀ` followed by the `col2im` scatter.
+//! Both go through [`col2im_gemm`]:
 //!
-//! * `dW = dy · colsᵀ` streams `dy` and `cols` directly in column blocks
-//!   sized so the `out_c × k` accumulator tile plus both block windows
-//!   stay cache-resident. Each `dW[oc][kk]` is still a single sequential
-//!   fold over columns in ascending order, so the scalar level is
-//!   bit-identical to the unfused GEMM.
-//! * `dx` walks batch items: a per-thread `[k, oh*ow]` scratch receives
-//!   `Wᵀ · dy_b` (one GEMM reading `Wᵀ` through swapped strides and `dy`'s
-//!   column window for item `b` through its row stride) and is
-//!   immediately scattered into image plane `b` while still hot —
-//!   1/n of the unfused intermediate, consumed before it leaves cache.
-//!   Per-plane accumulation order matches `col2im_into` exactly (rows
-//!   `(ci, ky, kx)` outer, then `oy`), so results are bit-identical to the
-//!   unfused composition at every kernel level.
+//! ```text
+//!   Conv2d::backward ──► conv_backward_fused ─┬─► dW = dy · colsᵀ   (gemm)
+//!                                              └─► dx = col2im(Wᵀ · dy)
+//!                                                          │
+//!   ConvTranspose2d::forward ──► conv_transpose_fused ─► y = col2im(Wᵀ · x) + b
+//!                                                          │
+//!                                      col2im_gemm: per item group,
+//!                                      Wᵀ · x_window into thread scratch,
+//!                                      scatter into the image planes
+//! ```
 //!
-//! Parallelism: `dW` bands over disjoint `oc` rows, `dx` over disjoint
-//! batch items — per-element fold order never depends on the executor,
-//! preserving the crate's determinism contract.
+//! * The full `[k, n*oh*ow]` column matrix is never materialised
+//!   (~20 MB for the paper-shape conv backward, ~400 MB over the
+//!   generator's decoder at batch 8). A per-thread scratch receives
+//!   `Wᵀ · x` for a window of consecutive batch items — `Wᵀ` read in place
+//!   through swapped strides, `x`'s column window through its row
+//!   stride — and is scattered into those items' image planes while hot.
+//! * Consecutive items share one window until it is at least `KC` columns
+//!   wide, so a small map (the generator's 1×1, 2×2 and 4×4 decoder
+//!   inputs) does not repack the whole of `Wᵀ` for a handful of columns.
+//! * Each plane is set to the bias (or zero) and then scattered by
+//!   `col2im`'s own per-plane routine, and each GEMM element is one fold
+//!   regardless of the window, so results are bit-identical to the
+//!   unfused GEMM + `col2im` composition at every kernel level and thread
+//!   count.
+//!
+//! Parallelism: item windows run on the pool over disjoint image planes;
+//! a single window runs on the caller so its GEMM can use the pool.
+//! Per-element fold order never depends on the executor, preserving the
+//! crate's determinism contract.
 
 use std::cell::RefCell;
 
-use crate::im2col::{valid_range, Im2ColSpec};
-use crate::matmul::MatRef;
+use crate::im2col::{scatter_plane, Im2ColSpec};
+use crate::matmul::{gemm_at, MatRef, KC};
 use crate::pool;
 use crate::simd::KernelLevel;
 use crate::{Result, Tensor, TensorError};
 
-/// Column-block width for the dW streaming GEMM: 256 f32 (1 KB per row
-/// window) keeps `out_c` dy-rows + `k` cols-rows of window under typical
-/// L2 sizes at paper shapes while amortising the loop overhead.
-const COL_BLOCK: usize = 256;
-
-/// Minimum multiply-accumulates before dW banding engages the pool.
+/// Minimum multiply-accumulates before item windows engage the pool.
 const PARALLEL_THRESHOLD: usize = 1 << 17;
 
 thread_local! {
-    /// Per-thread `[k, oh*ow]` scratch for one batch item's `Wᵀ · dy_b`.
-    static DCOLS_ITEM: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread `[k, window]` scratch for one item window's `Wᵀ · x`.
+    static DCOLS_WINDOW: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+fn check_lengths(pairs: &[(usize, usize)]) -> Result<()> {
+    for &(len, expect) in pairs {
+        if len != expect {
+            return Err(TensorError::LengthMismatch {
+                expected: expect,
+                actual: len,
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Fused convolution backward for the im2col-lowered Conv2d.
@@ -50,14 +70,13 @@ thread_local! {
 /// Inputs: `weight` is `[out_c, k]` (`k = c*kh*kw`), `dy` is
 /// `[out_c, n*oh*ow]` (channel-major gradient), `cols` is the forward's
 /// saved im2col matrix `[k, n*oh*ow]`. Outputs: `dw` (`[out_c, k]`) is
-/// overwritten with `dy · colsᵀ`, and `dx` (`[n, c, h, w]`) with
+/// overwritten with `dy · colsᵀ` (one [`crate::gemm`] over `cols` read
+/// transposed in place), and `dx` (`[n, c, h, w]`) with
 /// `col2im(Wᵀ · dy)`. The bias gradient is left to the caller (a cheap
 /// row-sum over `dy`).
 ///
 /// Bit-identical to the unfused `dy · colsᵀ`, `Wᵀ · dy` GEMMs + `col2im`
-/// composition at the scalar kernel level; at the AVX2 level the dW block
-/// dots reduce lanes per block (epsilon tier), while dx stays exact versus
-/// unfused AVX2.
+/// composition at every kernel level.
 ///
 /// # Errors
 ///
@@ -76,19 +95,12 @@ pub fn conv_backward_fused(
     let (oh, ow) = spec.output_size(h, w)?;
     let k = c * spec.kernel_h * spec.kernel_w;
     let ncols = n * oh * ow;
-    for (len, expect) in [
+    check_lengths(&[
         (weight.len(), out_c * k),
         (dy.len(), out_c * ncols),
         (cols.len(), k * ncols),
         (dw.len(), out_c * k),
-    ] {
-        if len != expect {
-            return Err(TensorError::LengthMismatch {
-                expected: expect,
-                actual: len,
-            });
-        }
-    }
+    ])?;
     if ncols == 0 || out_c == 0 {
         dw.fill(0.0);
         dx.as_mut_slice().fill(0.0);
@@ -102,213 +114,123 @@ pub fn conv_backward_fused(
     );
     // One level for the whole fused kernel, resolved on the caller thread.
     let level = crate::simd::active_level();
-
-    dw_streaming(dy, cols, dw, out_c, k, ncols, level);
-    dx_per_item(weight, dy, dx, spec, [n, c, h, w], (oh, ow), out_c, k, level);
+    let dy_m = MatRef::row_major(dy, out_c, ncols);
+    gemm_at(level, dy_m, MatRef::row_major(cols, k, ncols).t(), dw, None);
+    let dims = [n, c, h, w];
+    col2im_gemm(level, weight, dy, None, dx.as_mut_slice(), dims, (oh, ow), spec, out_c);
     Ok(())
 }
 
-/// `dw = dy · colsᵀ` streamed in column blocks; bands over disjoint `oc`
-/// rows on the pool. Every `dw` element is one ascending-column fold, so
-/// banding and blocking never change the result.
-fn dw_streaming(
-    dy: &[f32],
-    cols: &[f32],
-    dw: &mut [f32],
-    out_c: usize,
-    k: usize,
-    ncols: usize,
-    level: KernelLevel,
-) {
-    let work = out_c * k * ncols;
-    let threads = pool::effective_threads().min((work / PARALLEL_THRESHOLD).max(1));
-    if work < PARALLEL_THRESHOLD || threads <= 1 || out_c < 2 {
-        dw_band(dy, cols, dw, 0, out_c, k, ncols, level);
-        return;
-    }
-    let bands = threads.min(out_c);
-    let rows_per_band = out_c.div_ceil(bands);
-    pool::parallel_for_chunks(dw, rows_per_band * k, |band_idx, chunk| {
-        let oc0 = band_idx * rows_per_band;
-        dw_band(dy, cols, chunk, oc0, chunk.len() / k, k, ncols, level);
-    });
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dw_band(
-    dy: &[f32],
-    cols: &[f32],
-    dw_chunk: &mut [f32],
-    oc0: usize,
-    rows: usize,
-    k: usize,
-    ncols: usize,
-    level: KernelLevel,
-) {
-    dw_chunk.fill(0.0);
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only produced after CPUID confirmed AVX2+FMA.
-        KernelLevel::Avx2 => unsafe {
-            avx2::dw_band(dy, cols, dw_chunk, oc0, rows, k, ncols)
-        },
-        _ => {
-            let mut c0 = 0;
-            while c0 < ncols {
-                let c1 = (c0 + COL_BLOCK).min(ncols);
-                for r in 0..rows {
-                    let dy_seg = &dy[(oc0 + r) * ncols + c0..(oc0 + r) * ncols + c1];
-                    for kk in 0..k {
-                        let cols_seg = &cols[kk * ncols + c0..kk * ncols + c1];
-                        // Ascending-column fold straight into the output —
-                        // the same rounding sequence as the unfused GEMM's
-                        // register accumulator.
-                        let acc = &mut dw_chunk[r * k + kk];
-                        for (&d, &cv) in dy_seg.iter().zip(cols_seg.iter()) {
-                            *acc += d * cv;
-                        }
-                    }
-                }
-                c0 = c1;
-            }
-        }
-    }
-}
-
-/// `dx = col2im(Wᵀ · dy)`, one batch item at a time: GEMM into a
-/// per-thread `[k, oh*ow]` scratch, scatter into plane `b` immediately.
-#[allow(clippy::too_many_arguments)]
-fn dx_per_item(
+/// Transposed-convolution forward: `y = col2im(Wᵀ · x) + bias`.
+///
+/// `weight` is `[in_c, k]` (`k = out_c*kh*kw`), `x` is the channel-major
+/// input `[in_c, n*ih*iw]`, and `y` (`[n, out_c, oh, ow]`, fully
+/// overwritten) is the output grid whose convolution by `spec` lands back
+/// on `ih x iw`. `bias` (`[out_c]`) initialises each output plane before
+/// the scatter. Emits one `col2im[{k}x{ncols}]` kernel span costed as the
+/// GEMM plus the scatter.
+///
+/// Bit-identical to the unfused `Wᵀ · x` GEMM followed by `col2im` and a
+/// per-channel bias at every kernel level.
+///
+/// # Errors
+///
+/// Returns [`TensorError`] variants when `y` is not rank 4, the geometry
+/// is invalid, or any slice length disagrees with the implied shape.
+pub fn conv_transpose_fused(
     weight: &[f32],
-    dy: &[f32],
-    dx: &mut Tensor,
+    x: &[f32],
+    bias: &[f32],
+    y: &mut Tensor,
     spec: &Im2ColSpec,
+    in_c: usize,
+) -> Result<()> {
+    let [n, out_c, oh, ow] = y.shape().as_nchw()?;
+    let (ih, iw) = spec.output_size(oh, ow)?;
+    let k = out_c * spec.kernel_h * spec.kernel_w;
+    let ncols = n * ih * iw;
+    check_lengths(&[
+        (weight.len(), in_c * k),
+        (x.len(), in_c * ncols),
+        (bias.len(), out_c),
+    ])?;
+    if y.is_empty() {
+        return Ok(());
+    }
+    let _span = crate::profile::kernel_span(
+        || format!("col2im[{k}x{ncols}]"),
+        crate::profile::KernelCost::gemm(k, ncols, in_c)
+            .plus(crate::profile::KernelCost::col2im(k, ncols)),
+    );
+    let level = crate::simd::active_level();
+    let dims = [n, out_c, oh, ow];
+    col2im_gemm(level, weight, x, Some(bias), y.as_mut_slice(), dims, (ih, iw), spec, in_c);
+    Ok(())
+}
+
+/// `dst = col2im(Wᵀ · src) (+ bias)`, where `weight` is `[rows, k]`, `src`
+/// the channel-major `[rows, n*oh*ow]` and `dst` the `[n, c, h, w]` image,
+/// one item window at a time: GEMM into a per-thread `[k, window]`
+/// scratch, scatter into the window's image planes immediately. Lengths
+/// are the caller's to check.
+#[allow(clippy::too_many_arguments)]
+fn col2im_gemm(
+    level: KernelLevel,
+    weight: &[f32],
+    src: &[f32],
+    bias: Option<&[f32]>,
+    dst: &mut [f32],
     [n, c, h, w]: [usize; 4],
     (oh, ow): (usize, usize),
-    out_c: usize,
-    k: usize,
-    level: KernelLevel,
+    spec: &Im2ColSpec,
+    rows: usize,
 ) {
-    let ncols = n * oh * ow;
+    let k = c * spec.kernel_h * spec.kernel_w;
     let item_cols = oh * ow;
-    let dst = dx.as_mut_slice();
+    let ncols = n * item_cols;
+    // Items per GEMM window: enough that the window is at least KC columns.
+    let group = KC.div_ceil(item_cols.max(1)).min(n).max(1);
+    let windows = n.div_ceil(group);
+    let plane = h * w;
     let dst_len = dst.len();
     let base = pool::SendPtr::new(dst.as_mut_ptr());
+    // Wᵀ is read in place through swapped strides.
+    let wt = MatRef::row_major(weight, rows, k).t();
 
-    // Wᵀ is read in place through swapped strides; B is dy's column window
-    // for item b, read in place with row stride `ncols`.
-    let wt = MatRef::row_major(weight, out_c, k).t();
-    let taps = spec.kernel_h * spec.kernel_w;
-
-    let scatter_item = move |b: usize| {
-        DCOLS_ITEM.with(|dc| {
-            let mut dcols = dc.borrow_mut();
+    let run_window = move |t: usize| {
+        let b0 = t * group;
+        let items = group.min(n - b0);
+        let win = items * item_cols;
+        DCOLS_WINDOW.with(|cell| {
+            let mut dcols = cell.borrow_mut();
             // Fully overwritten by the GEMM: no need to clear.
-            dcols.resize(k * item_cols, 0.0);
-            let dy_b = MatRef::new(&dy[b * item_cols..], out_c, item_cols, ncols, 1);
-            crate::matmul::gemm_at(level, wt, dy_b, &mut dcols, None);
-            let plane = h * w;
-            for ci in 0..c {
-                let start = (b * c + ci) * plane;
-                debug_assert!(start + plane <= dst_len);
-                // SAFETY: item tasks touch disjoint `b` image planes;
-                // the buffer outlives the blocking parallel_for call.
-                let dst_plane =
-                    unsafe { std::slice::from_raw_parts_mut(base.get().add(start), plane) };
-                dst_plane.fill(0.0);
-                for ky in 0..spec.kernel_h {
-                    for kx in 0..spec.kernel_w {
-                        let row = ci * taps + ky * spec.kernel_w + kx;
-                        let row_base = row * item_cols;
-                        let off_x = kx as isize - spec.pad_w as isize;
-                        let (ox_lo, ox_hi) = valid_range(off_x, spec.stride_w, w, ow);
-                        if ox_lo >= ox_hi {
-                            continue;
-                        }
-                        for oy in 0..oh {
-                            let iy = (oy * spec.stride_h + ky) as isize - spec.pad_h as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let col_base = row_base + oy * ow;
-                            let dst_row = iy as usize * w;
-                            let base_ix = ((ox_lo * spec.stride_w) as isize + off_x) as usize;
-                            let seg = &dcols[col_base + ox_lo..col_base + ox_hi];
-                            if spec.stride_w == 1 {
-                                let out_seg = &mut dst_plane
-                                    [dst_row + base_ix..dst_row + base_ix + seg.len()];
-                                crate::simd::add_assign(level, out_seg, seg);
-                            } else {
-                                for (idx, &v) in seg.iter().enumerate() {
-                                    dst_plane[dst_row + base_ix + idx * spec.stride_w] += v;
-                                }
-                            }
-                        }
-                    }
+            dcols.resize(k * win, 0.0);
+            // Items b0.. are consecutive columns of src, row stride ncols.
+            let x_win = MatRef::new(&src[(b0 * item_cols).min(src.len())..], rows, win, ncols, 1);
+            gemm_at(level, wt, x_win, &mut dcols, None);
+            for j in 0..items {
+                for ci in 0..c {
+                    let start = ((b0 + j) * c + ci) * plane;
+                    debug_assert!(start + plane <= dst_len);
+                    // SAFETY: windows touch disjoint item planes; the buffer
+                    // outlives the blocking parallel_for call.
+                    let dst_plane =
+                        unsafe { std::slice::from_raw_parts_mut(base.get().add(start), plane) };
+                    dst_plane.fill(bias.map_or(0.0, |bias| bias[ci]));
+                    let cols = &dcols[j * item_cols..];
+                    scatter_plane(level, cols, win, ci, dst_plane, spec, (h, w), (oh, ow));
                 }
             }
         });
     };
 
-    let work = k * out_c * ncols;
-    if work < PARALLEL_THRESHOLD || pool::effective_threads() <= 1 || n == 1 {
-        for b in 0..n {
-            scatter_item(b);
+    if windows == 1 || k * rows * ncols < PARALLEL_THRESHOLD || pool::effective_threads() <= 1 {
+        // On the caller thread, each window's GEMM can use the pool itself.
+        for t in 0..windows {
+            run_window(t);
         }
     } else {
-        pool::parallel_for(n, scatter_item);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    //! AVX2+FMA dW band: 8-lane FMA dot per `(oc, kk, block)` with a
-    //! lane reduction per block (epsilon tier vs the scalar fold).
-    use super::COL_BLOCK;
-    use std::arch::x86_64::*;
-
-    /// # Safety
-    ///
-    /// Host must support AVX2+FMA; slice geometry as in [`super::dw_band`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn dw_band(
-        dy: &[f32],
-        cols: &[f32],
-        dw_chunk: &mut [f32],
-        oc0: usize,
-        rows: usize,
-        k: usize,
-        ncols: usize,
-    ) {
-        let mut c0 = 0;
-        while c0 < ncols {
-            let c1 = (c0 + COL_BLOCK).min(ncols);
-            let blk = c1 - c0;
-            for r in 0..rows {
-                let dy_seg = dy.as_ptr().add((oc0 + r) * ncols + c0);
-                for kk in 0..k {
-                    let cols_seg = cols.as_ptr().add(kk * ncols + c0);
-                    let mut acc = _mm256_setzero_ps();
-                    let mut i = 0;
-                    while i + 8 <= blk {
-                        let d = _mm256_loadu_ps(dy_seg.add(i));
-                        let cv = _mm256_loadu_ps(cols_seg.add(i));
-                        acc = _mm256_fmadd_ps(d, cv, acc);
-                        i += 8;
-                    }
-                    let mut lanes = [0.0f32; 8];
-                    _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-                    let mut partial = ((lanes[0] + lanes[4]) + (lanes[1] + lanes[5]))
-                        + ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7]));
-                    while i < blk {
-                        partial = (*dy_seg.add(i)).mul_add(*cols_seg.add(i), partial);
-                        i += 1;
-                    }
-                    dw_chunk[r * k + kk] += partial;
-                }
-            }
-            c0 = c1;
-        }
+        pool::parallel_for(windows, run_window);
     }
 }
 
@@ -368,6 +290,7 @@ mod tests {
     fn fused_matches_unfused_bitwise_at_scalar() {
         with_level(KernelLevel::Scalar, || {
             run_case(Im2ColSpec::square(3, 1, 1), [2, 3, 8, 8], 4, 11);
+            run_case(Im2ColSpec::square(5, 2, 2), [5, 2, 16, 16], 6, 15);
             run_case(Im2ColSpec::square(5, 2, 2), [2, 2, 16, 16], 6, 12);
             run_case(Im2ColSpec::square(1, 1, 0), [1, 2, 4, 4], 3, 13);
             // stride > kernel leaves scatter gaps; asymmetric spec.
@@ -392,28 +315,24 @@ mod tests {
         if detect_level() < KernelLevel::Avx2 {
             return;
         }
-        // dx's per-item GEMM + scatter keeps the exact unfused fold even at
-        // the AVX2 level; dW reduces lanes per block, so compare it by tier.
+        // Both products are the same GEMM folds as the unfused path, so
+        // dW and dx stay exact at the AVX2 level too. The 16x16 case
+        // groups items (64-column windows) and the 17x17 one does not.
         with_level(KernelLevel::Avx2, || {
-            let spec = Im2ColSpec::square(3, 1, 1);
-            let dims = [2, 3, 8, 8];
-            let out_c = 4;
-            let [n, c, h, w] = dims;
-            let (oh, ow) = spec.output_size(h, w).unwrap();
-            let k = c * spec.kernel_h * spec.kernel_w;
-            let ncols = n * oh * ow;
-            let weight = random_vec(out_c * k, 21);
-            let dy = random_vec(out_c * ncols, 22);
-            let cols = random_vec(k * ncols, 23);
-            let (dw_ref, dx_ref) = unfused(&weight, &dy, &cols, &spec, dims, out_c, k, ncols);
-            let mut dw = vec![f32::NAN; out_c * k];
-            let mut dx = Tensor::full(&dims, f32::NAN);
-            conv_backward_fused(&weight, &dy, &cols, &mut dw, &mut dx, &spec, out_c).unwrap();
-            assert_eq!(dx.as_slice(), dx_ref.as_slice(), "dx exact at avx2");
-            for (i, (&a, &b)) in dw.iter().zip(dw_ref.iter()).enumerate() {
-                assert!((a - b).abs() <= 1e-4 + a.abs() * 1e-4, "dw[{i}]: {a} vs {b}");
-            }
+            run_case(Im2ColSpec::square(3, 1, 1), [2, 3, 8, 8], 4, 21);
+            run_case(Im2ColSpec::square(5, 2, 2), [5, 2, 16, 16], 6, 22);
+            run_case(Im2ColSpec::square(5, 2, 2), [3, 3, 34, 34], 5, 23);
         });
+    }
+
+    #[test]
+    fn transpose_bias_initialises_planes() {
+        // A zero weight leaves only the bias: every output plane is set to
+        // its channel's bias before the scatter adds anything.
+        let spec = Im2ColSpec::square(1, 1, 0);
+        let mut y = Tensor::full(&[1, 2, 2, 2], f32::NAN);
+        conv_transpose_fused(&[0.0; 6], &[1.0; 12], &[0.5, -1.5], &mut y, &spec, 3).unwrap();
+        assert_eq!(y.as_slice(), &[0.5, 0.5, 0.5, 0.5, -1.5, -1.5, -1.5, -1.5]);
     }
 
     #[test]

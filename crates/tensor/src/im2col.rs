@@ -2,8 +2,9 @@
 //!
 //! `im2col` unrolls each receptive field of an NCHW image into one column of
 //! a matrix so that convolution becomes a single GEMM; `col2im` is its
-//! adjoint (scatter-add), used in the backward pass and in transposed
-//! convolution.
+//! adjoint (scatter-add). The layers run the adjoint through
+//! `crate::fused`, which scatters in `col2im`'s exact order without
+//! materialising the column matrix; `col2im` is its reference.
 //!
 //! Both directions run on the shared worker pool over disjoint regions —
 //! matrix rows for `im2col`, image channels for `col2im` — and use a
@@ -20,6 +21,7 @@
 //! exact epsilon tier at every level.
 
 use crate::pool;
+use crate::simd::KernelLevel;
 use crate::{Result, Tensor, TensorError};
 
 /// Minimum matrix elements before the worker pool is engaged.
@@ -201,6 +203,10 @@ pub fn im2col_into(input: &Tensor, spec: &Im2ColSpec, out: &mut Tensor) -> Resul
 /// Overlapping receptive fields accumulate, which is exactly the gradient
 /// of the im2col gather (and the forward pass of transposed convolution).
 ///
+/// Parallelises over image channels: each channel's planes are disjoint in
+/// the output and keep the serial per-element accumulation order, so the
+/// result is bit-identical to the naive loop at any thread count.
+///
 /// # Errors
 ///
 /// Returns an error if `cols` does not have the shape implied by the image
@@ -213,32 +219,6 @@ pub fn col2im(
     h: usize,
     w: usize,
 ) -> Result<Tensor> {
-    let mut out = Tensor::zeros(&[n, c, h, w]);
-    col2im_into(cols, spec, &mut out, None)?;
-    Ok(out)
-}
-
-/// [`col2im`] into a caller-owned image tensor (shape `[n, c, h, w]`),
-/// enabling workspace reuse. Each output plane is re-initialised before
-/// accumulation — to `bias[c]` when `bias` is given (fusing the transposed
-/// convolution's per-channel bias into the scatter pass), else to zero — so
-/// a recycled buffer needs no clearing.
-///
-/// Parallelises over image channels: each channel's planes are disjoint in
-/// the output and keep the serial per-element accumulation order, so the
-/// result is bit-identical to the naive loop at any thread count.
-///
-/// # Errors
-///
-/// Returns an error if `out` is not rank 4, `cols` does not match the
-/// geometry, or `bias` is not `c` long.
-pub fn col2im_into(
-    cols: &Tensor,
-    spec: &Im2ColSpec,
-    out: &mut Tensor,
-    bias: Option<&[f32]>,
-) -> Result<()> {
-    let [n, c, h, w] = out.shape().as_nchw()?;
     let (oh, ow) = spec.output_size(h, w)?;
     let rows = c * spec.kernel_h * spec.kernel_w;
     let ncols = n * oh * ow;
@@ -248,18 +228,11 @@ pub fn col2im_into(
             right: vec![rows, ncols],
         });
     }
-    if let Some(bias) = bias {
-        if bias.len() != c {
-            return Err(TensorError::ShapeMismatch {
-                left: vec![bias.len()],
-                right: vec![c],
-            });
-        }
-    }
+    let mut out = Tensor::zeros(&[n, c, h, w]);
     let src = cols.as_slice();
     let dst = out.as_mut_slice();
     if dst.is_empty() {
-        return Ok(());
+        return Ok(out);
     }
     let _span = crate::profile::kernel_span(
         || format!("col2im[{rows}x{ncols}]"),
@@ -268,12 +241,11 @@ pub fn col2im_into(
     // Resolve the kernel level once on the caller thread; the stride-1
     // interior add is elementwise, so the AVX2 path stays bit-exact.
     let level = crate::simd::active_level();
-    let taps = spec.kernel_h * spec.kernel_w;
+    let plane = h * w;
     let base = pool::SendPtr::new(dst.as_mut_ptr());
     let dst_len = dst.len();
 
     let scatter_channel = move |ci: usize| {
-        let plane = h * w;
         for b in 0..n {
             let start = (b * c + ci) * plane;
             debug_assert!(start + plane <= dst_len);
@@ -281,42 +253,8 @@ pub fn col2im_into(
             // buffer outlives the blocking parallel_for call.
             let dst_plane =
                 unsafe { std::slice::from_raw_parts_mut(base.get().add(start), plane) };
-            dst_plane.fill(bias.map_or(0.0, |bias| bias[ci]));
-        }
-        for ky in 0..spec.kernel_h {
-            for kx in 0..spec.kernel_w {
-                let row = ci * taps + ky * spec.kernel_w + kx;
-                let row_base = row * ncols;
-                let off_x = kx as isize - spec.pad_w as isize;
-                let (ox_lo, ox_hi) = valid_range(off_x, spec.stride_w, w, ow);
-                for b in 0..n {
-                    let start = (b * c + ci) * plane;
-                    // SAFETY: as above — same disjoint plane.
-                    let dst_plane =
-                        unsafe { std::slice::from_raw_parts_mut(base.get().add(start), plane) };
-                    for oy in 0..oh {
-                        let iy = (oy * spec.stride_h + ky) as isize - spec.pad_h as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        if ox_lo >= ox_hi {
-                            continue;
-                        }
-                        let col_base = row_base + (b * oh + oy) * ow;
-                        let dst_row = iy as usize * w;
-                        let base_ix = ((ox_lo * spec.stride_w) as isize + off_x) as usize;
-                        let seg = &src[col_base + ox_lo..col_base + ox_hi];
-                        if spec.stride_w == 1 {
-                            let row = &mut dst_plane[dst_row + base_ix..dst_row + base_ix + seg.len()];
-                            crate::simd::add_assign(level, row, seg);
-                        } else {
-                            for (idx, &v) in seg.iter().enumerate() {
-                                dst_plane[dst_row + base_ix + idx * spec.stride_w] += v;
-                            }
-                        }
-                    }
-                }
-            }
+            let item_cols = &src[b * oh * ow..];
+            scatter_plane(level, item_cols, ncols, ci, dst_plane, spec, (h, w), (oh, ow));
         }
     };
 
@@ -327,7 +265,53 @@ pub fn col2im_into(
     } else {
         pool::parallel_for(c, scatter_channel);
     }
-    Ok(())
+    Ok(out)
+}
+
+/// Scatter-adds channel `ci`'s rows of one batch item's columns into its
+/// image plane: rows `(ky, kx)` outer, then `oy` — the per-plane
+/// accumulation order of [`col2im`] and of the fused convolution core.
+/// `cols` starts at the item's first column and has row stride `ld`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn scatter_plane(
+    level: KernelLevel,
+    cols: &[f32],
+    ld: usize,
+    ci: usize,
+    dst_plane: &mut [f32],
+    spec: &Im2ColSpec,
+    (h, w): (usize, usize),
+    (oh, ow): (usize, usize),
+) {
+    let taps = spec.kernel_h * spec.kernel_w;
+    for ky in 0..spec.kernel_h {
+        for kx in 0..spec.kernel_w {
+            let row_base = (ci * taps + ky * spec.kernel_w + kx) * ld;
+            let off_x = kx as isize - spec.pad_w as isize;
+            let (ox_lo, ox_hi) = valid_range(off_x, spec.stride_w, w, ow);
+            if ox_lo >= ox_hi {
+                continue;
+            }
+            for oy in 0..oh {
+                let iy = (oy * spec.stride_h + ky) as isize - spec.pad_h as isize;
+                if iy < 0 || iy >= h as isize {
+                    continue;
+                }
+                let col_base = row_base + oy * ow;
+                let dst_row = iy as usize * w;
+                let base_ix = ((ox_lo * spec.stride_w) as isize + off_x) as usize;
+                let seg = &cols[col_base + ox_lo..col_base + ox_hi];
+                if spec.stride_w == 1 {
+                    let out_seg = &mut dst_plane[dst_row + base_ix..dst_row + base_ix + seg.len()];
+                    crate::simd::add_assign(level, out_seg, seg);
+                } else {
+                    for (idx, &v) in seg.iter().enumerate() {
+                        dst_plane[dst_row + base_ix + idx * spec.stride_w] += v;
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -412,22 +396,6 @@ mod tests {
         im2col_into(&x, &spec, &mut dirty).unwrap();
         assert_eq!(dirty.as_slice(), fresh.as_slice());
 
-        let back_fresh = col2im(&fresh, &spec, n, c, h, w).unwrap();
-        let mut back_dirty = Tensor::full(&[n, c, h, w], f32::NAN);
-        col2im_into(&fresh, &spec, &mut back_dirty, None).unwrap();
-        assert_eq!(back_dirty.as_slice(), back_fresh.as_slice());
-    }
-
-    #[test]
-    fn col2im_bias_initialises_planes() {
-        let spec = Im2ColSpec::square(1, 1, 0);
-        let cols = Tensor::zeros(&[2, 4]);
-        let mut out = Tensor::zeros(&[1, 2, 2, 2]);
-        col2im_into(&cols, &spec, &mut out, Some(&[0.5, -1.5])).unwrap();
-        assert_eq!(
-            out.as_slice(),
-            &[0.5, 0.5, 0.5, 0.5, -1.5, -1.5, -1.5, -1.5]
-        );
     }
 
     #[test]

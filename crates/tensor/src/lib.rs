@@ -54,8 +54,8 @@ mod tensor;
 pub use alloc::{allocated_bytes, note_workspace_bytes, peak_workspace_bytes, reset_allocated_bytes};
 pub use error::TensorError;
 pub use fft::Complex;
-pub use fused::conv_backward_fused;
-pub use im2col::{col2im, col2im_into, im2col, im2col_into, Im2ColSpec};
+pub use fused::{conv_backward_fused, conv_transpose_fused};
+pub use im2col::{col2im, im2col, im2col_into, Im2ColSpec};
 pub use matmul::{gemm, matmul, matmul_transpose_a, matmul_transpose_b, MatRef};
 pub use shape::Shape;
 pub use simd::{active_level, configure_simd, detect_level, parse_level, with_level, KernelLevel};

@@ -42,7 +42,7 @@ const MR: usize = 6;
 /// 16 `ymm` registers, leaving room for two B vectors and one A broadcast.
 const NR: usize = 16;
 /// Reduction block depth: one `KC x NR` B micro-panel is 16 KB (L1).
-const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 /// Row block (a multiple of `MR`): one packed `MC x KC` A block is 144 KB
 /// (L2), re-read once per B micro-panel.
 const MC: usize = 144;
