@@ -22,6 +22,7 @@ use std::path::{Path, PathBuf};
 
 use litho_json::jsonl::{parse_jsonl_with, JsonlParse};
 use litho_json::{write_f64, write_str, Json};
+use litho_ledger::Fnv1a;
 
 /// Bumped whenever the alert record layout changes incompatibly.
 pub const ALERTS_SCHEMA: u32 = 1;
@@ -148,14 +149,11 @@ fn push_str_field(out: &mut String, key: &str, v: &str) {
 /// FNV-1a (64-bit) over `rule` and `subject`, hex-encoded — stable
 /// across processes, cheap, and collision-safe at fleet scale.
 pub fn fingerprint(rule: &str, subject: &str) -> String {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for b in rule.bytes().chain([0u8]).chain(subject.bytes()) {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    format!("{h:016x}")
+    let mut hash = Fnv1a::new();
+    hash.write(rule.as_bytes());
+    hash.write(&[0]);
+    hash.write(subject.as_bytes());
+    hash.hex()
 }
 
 /// `<runs_root>/alerts.jsonl`.

@@ -5,15 +5,14 @@
 //! Both files use the ledger [`Baseline`] JSON format
 //! (`{"tol_pct": N, "metrics": {"<bench>": <best secs/iter>, ...}}`),
 //! written by the bench binaries' `--json-out=FILE` flag (best-of-N — see
-//! the microbench module for why minimums, not medians, are gated). Plain
-//! metrics are wall-clock times and gate lower-is-better; derived roofline
-//! metrics gate by suffix: `_gflops` (achieved GFLOP/s) and `_util`
-//! (worker-pool utilization) are rates and gate higher-is-better, while
-//! `_ai` (arithmetic intensity) is a shape constant recorded for context
-//! and never gated. A baseline bench missing from the current file fails
-//! the gate (a vanished bench is itself a regression). Current-only
-//! benches are reported but do not gate — they become binding once
-//! promoted into the baseline.
+//! the microbench module for why minimums, not medians, are gated). The
+//! verdicts are the ledger's [`gate_metrics`]: each metric gates by its
+//! [`Direction`] — plain metrics are wall-clock times (lower is better),
+//! `_gflops` and `_util` are rates (higher is better), and `_ai` is a
+//! shape constant that is never gated. A baseline bench missing from the
+//! current file fails the gate (a vanished bench is itself a
+//! regression). Current-only benches are reported but do not gate — they
+//! become binding once promoted into the baseline.
 //!
 //! When both files carry the `_calibration` metric (a fixed workload
 //! timed at bench time), current times are rescaled by
@@ -36,10 +35,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use litho_ledger::{Baseline, GateCheck, GateOutcome};
-use lithogan_bench::microbench::{
-    fmt_duration, AI_SUFFIX, CALIBRATION_METRIC, GFLOPS_SUFFIX, UTIL_SUFFIX,
-};
+use litho_ledger::{gate_metrics, Baseline, Direction, GFLOPS_SUFFIX};
+use lithogan_bench::microbench::{fmt_duration, CALIBRATION_METRIC};
 
 enum Args {
     Gate {
@@ -164,102 +161,38 @@ fn host_speed_scale(current: &Baseline, baseline: &Baseline) -> Option<f64> {
     (cur > 0.0 && base > 0.0).then_some((base / cur).min(1.0))
 }
 
-/// True for rate metrics (`_gflops`, `_util`): higher is better, and the
-/// gate floor is `baseline * (1 - tol)` instead of a ceiling.
-fn is_rate(key: &str) -> bool {
-    key.ends_with(GFLOPS_SUFFIX) || key.ends_with(UTIL_SUFFIX)
-}
-
-/// Gates current bench metrics against the baseline. Plain metrics are
-/// durations (lower-is-better, current times rescaled by `scale` to the
-/// baseline host's speed); `_gflops` rates gate higher-is-better with the
-/// inverse rescaling (a slower host's achieved rate is discounted *up*,
-/// never down); `_util` is host-speed-independent and compared raw; `_ai`
-/// is never gated.
-fn gate_benches(
-    current: &Baseline,
-    baseline: &Baseline,
-    tol_pct: Option<f64>,
-    scale: f64,
-) -> GateOutcome {
-    let tol_pct = tol_pct.unwrap_or(baseline.tol_pct).max(0.0);
-    let tol = tol_pct / 100.0;
-    let mut outcome = GateOutcome {
-        checks: Vec::new(),
-        tol_pct,
-    };
-    for (key, base) in &baseline.metrics {
-        if key == CALIBRATION_METRIC || key.ends_with(AI_SUFFIX) {
-            continue;
-        }
-        let raw = lookup(current, key);
-        let (actual, pass) = if key.ends_with(GFLOPS_SUFFIX) {
-            let v = raw.map(|v| v / scale);
-            (v, v.is_some_and(|v| v >= base * (1.0 - tol) - f64::EPSILON))
-        } else if key.ends_with(UTIL_SUFFIX) {
-            (raw, raw.is_some_and(|v| v >= base * (1.0 - tol) - f64::EPSILON))
-        } else {
-            let v = raw.map(|v| v * scale);
-            (v, v.is_some_and(|v| v <= base * (1.0 + tol) + f64::EPSILON))
-        };
-        outcome.checks.push(GateCheck {
-            metric: key.clone(),
-            baseline: *base,
-            actual,
-            pass,
-        });
-    }
-    outcome
+/// The calibration pre-pass: the current metrics at the baseline host's
+/// speed — times × `scale`, `_gflops` ÷ `scale` (a slower host's rate is
+/// discounted *up*), `_util` raw (host-speed-independent) — and the
+/// baseline to gate them against. `_calibration` is used up here and is
+/// never a check.
+fn calibrate(current: &Baseline, baseline: &Baseline, scale: f64) -> (Vec<(String, f64)>, Baseline) {
+    let current = current
+        .metrics
+        .iter()
+        .filter(|(k, _)| k != CALIBRATION_METRIC)
+        .map(|(k, v)| {
+            let v = match Direction::of(k) {
+                Direction::LowerBetter => v * scale,
+                _ if k.ends_with(GFLOPS_SUFFIX) => v / scale,
+                _ => *v,
+            };
+            (k.clone(), v)
+        })
+        .collect();
+    let mut baseline = baseline.clone();
+    baseline.metrics.retain(|(k, _)| k != CALIBRATION_METRIC);
+    (current, baseline)
 }
 
 /// Formats a metric value: duration units for times, plain numbers for
-/// the rate metrics (GFLOP/s and utilization are not durations).
+/// the rates (GFLOP/s and utilization are not durations).
 fn fmt_value(key: &str, v: f64) -> String {
-    if is_rate(key) {
+    if Direction::of(key) == Direction::HigherBetter {
         format!("{v:.3}")
     } else {
         fmt_duration(Duration::from_secs_f64(v.max(0.0)))
     }
-}
-
-/// [`GateOutcome::render`] formats values as `{:.4}`, unreadable for
-/// microsecond kernels — render the same table with duration units.
-fn render(outcome: &GateOutcome) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(out, "== perf gate (tolerance {:.1}%) ==", outcome.tol_pct);
-    let w = outcome
-        .checks
-        .iter()
-        .map(|c| c.metric.len())
-        .max()
-        .unwrap_or(5)
-        .max(5);
-    let _ = writeln!(
-        out,
-        "{:<w$} {:>12} {:>12} {:>8}  verdict",
-        "bench", "baseline", "actual", "ratio"
-    );
-    for c in &outcome.checks {
-        let (actual, ratio) = match c.actual {
-            Some(v) => (
-                fmt_value(&c.metric, v),
-                format!("{:.2}x", if c.baseline > 0.0 { v / c.baseline } else { f64::INFINITY }),
-            ),
-            None => ("missing".to_string(), "-".to_string()),
-        };
-        let _ = writeln!(
-            out,
-            "{:<w$} {:>12} {:>12} {:>8}  {}",
-            c.metric,
-            fmt_value(&c.metric, c.baseline),
-            actual,
-            ratio,
-            if c.pass { "ok" } else { "REGRESSED" }
-        );
-    }
-    let _ = writeln!(out, "gate: {}", if outcome.passed() { "PASS" } else { "FAIL" });
-    out
 }
 
 fn main() -> ExitCode {
@@ -309,18 +242,16 @@ fn main() -> ExitCode {
         Some(_) => println!("host at or above baseline-capture speed; comparing raw times"),
         None => println!("no shared {CALIBRATION_METRIC} metric; comparing raw times"),
     }
-    let outcome = gate_benches(&current, &baseline, tol_pct, scale.unwrap_or(1.0));
-    print!("{}", render(&outcome));
+    let (current, baseline) = calibrate(&current, &baseline, scale.unwrap_or(1.0));
+    let outcome = gate_metrics(&current, &baseline, tol_pct);
+    print!("{}", outcome.render_with(fmt_value));
 
     // Surface benches that exist only in the current file so a stale
     // baseline is visible without failing the gate.
     let new: Vec<&str> = current
-        .metrics
         .iter()
         .filter(|(k, _)| {
-            k != CALIBRATION_METRIC
-                && !k.ends_with(AI_SUFFIX)
-                && !baseline.metrics.iter().any(|(b, _)| b == k)
+            Direction::of(k) != Direction::Constant && lookup(&baseline, k).is_none()
         })
         .map(|(k, _)| k.as_str())
         .collect();
@@ -338,6 +269,17 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use litho_ledger::GateOutcome;
+
+    fn gate_benches(
+        current: &Baseline,
+        baseline: &Baseline,
+        tol_pct: Option<f64>,
+        scale: f64,
+    ) -> GateOutcome {
+        let (current, baseline) = calibrate(current, baseline, scale);
+        gate_metrics(&current, &baseline, tol_pct)
+    }
 
     fn base(metrics: &[(&str, f64)]) -> Baseline {
         Baseline {

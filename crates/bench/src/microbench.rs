@@ -22,21 +22,8 @@ use std::io;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use litho_ledger::Baseline;
+use litho_ledger::{Baseline, Direction, AI_SUFFIX, GFLOPS_SUFFIX, UTIL_SUFFIX};
 use litho_tensor::profile::KernelCost;
-
-/// Suffix of derived achieved-GFLOP/s metrics written by
-/// [`MicroBench::run_costed`]. Rate metrics merge by *maximum* in
-/// [`MicroBench::flush_json`] and gate as higher-is-better in `perf_gate`.
-pub const GFLOPS_SUFFIX: &str = "_gflops";
-
-/// Suffix of derived worker-pool-utilization metrics (busy time over
-/// wall time across all pool threads during the bench). Higher is better.
-pub const UTIL_SUFFIX: &str = "_util";
-
-/// Suffix of derived arithmetic-intensity metrics (FLOPs per byte). A
-/// shape constant, recorded for roofline context and never gated.
-pub const AI_SUFFIX: &str = "_ai";
 
 /// Synthetic metric embedded in every `--json-out` file: the time of a
 /// fixed integer workload measured at flush time. `perf_gate` divides the
@@ -304,8 +291,8 @@ impl MicroBench {
     /// (arithmetic intensity — a shape constant, recorded for context)
     /// and `<name>_util` (worker-pool utilization over the timed region,
     /// when the pool did any work). The companions ride into `--json-out`
-    /// next to the time; rate metrics merge by maximum and gate as
-    /// higher-is-better in `perf_gate`.
+    /// next to the time, and merge and gate by their ledger
+    /// [`Direction`].
     pub fn run_costed<R>(&self, name: &str, cost: KernelCost, f: impl FnMut() -> R) -> BenchStats {
         litho_tensor::pool::set_profiling(true);
         let base = litho_tensor::pool::stats();
@@ -343,19 +330,12 @@ impl MicroBench {
     }
 }
 
-/// Per-metric merge policy when several passes accumulate into one
-/// `--json-out` file: times keep the minimum (scheduler and frequency
-/// noise only ever add time), rate metrics (`_gflops`, `_util`) keep the
-/// maximum for the same reason, and `_ai` — a shape constant — takes the
-/// latest value so a cost-model fix propagates.
+/// Per-metric merge when several passes accumulate into one `--json-out`
+/// file: the better value by the metric's [`Direction`] (scheduler and
+/// frequency noise only ever make a pass worse), and the latest value of
+/// a shape constant (`_ai`) so a cost-model fix propagates.
 fn merge_metric(name: &str, old: f64, new: f64) -> f64 {
-    if name.ends_with(GFLOPS_SUFFIX) || name.ends_with(UTIL_SUFFIX) {
-        old.max(new)
-    } else if name.ends_with(AI_SUFFIX) {
-        new
-    } else {
-        old.min(new)
-    }
+    Direction::of(name).best(old, new)
 }
 
 /// Formats a duration with an auto-selected unit.

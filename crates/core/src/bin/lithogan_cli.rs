@@ -419,9 +419,9 @@ fn parse_simd_arg(value: &str) -> Result<litho_tensor::KernelLevel> {
 ///
 /// # Errors
 ///
-/// Returns an error for a value-taking flag without its value (the
-/// subcommand parsers ignore flags they don't know, so it can't be left
-/// for them to reject).
+/// Returns an error for a value-taking flag without its value (a
+/// dangling `--metrics-out` would otherwise reach the command parser as
+/// an unknown flag, with a less precise message).
 fn split_global_args(args: &[String]) -> Result<(Vec<String>, GlobalOpts)> {
     let mut opts = GlobalOpts::default();
     let mut rest = Vec::with_capacity(args.len());
@@ -491,7 +491,57 @@ fn io_err(e: std::io::Error) -> TensorError {
     bad(e.to_string())
 }
 
+/// The flags each command accepts, without the leading `--`:
+/// `(value-taking, boolean)`. `None` for an unknown command or `runs`
+/// subcommand, which `parse` reports itself. `--gate` takes a baseline
+/// path in `compare` but is boolean in `runs trend`, so the sets are
+/// per-command.
+fn command_flags(
+    command: &str,
+    sub: Option<&str>,
+) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match (command, sub) {
+        ("generate", _) => (&["node", "clips", "size", "jitter", "out"], &[]),
+        ("train", _) => (
+            &[
+                "data",
+                "epochs",
+                "seed",
+                "health-stride",
+                "abort-on",
+                "poison-nan-at-epoch",
+                "out",
+            ],
+            &["augment", "health"],
+        ),
+        ("eval", _) => (&["data", "model"], &[]),
+        ("predict", _) => (&["data", "model", "index", "out-dir"], &[]),
+        ("report" | "reindex" | "help", _) => (&[], &[]),
+        ("triage", _) => (&["worst"], &[]),
+        ("profile", _) => (&["top"], &[]),
+        ("health", _) => (&["fail-on"], &[]),
+        ("compare", _) => (&["gate", "write-baseline", "tol-pct"], &[]),
+        ("runs", Some("ls")) => (&["status", "command", "dataset", "last"], &["json"]),
+        ("runs", Some("trend")) => (
+            &["slice", "last", "tol-pct", "drift-runs", "out"],
+            &["gate"],
+        ),
+        ("runs", Some("diff-eval")) => (&["tol-pct"], &["gate"]),
+        ("runs", Some("gc")) => (&["keep", "baseline"], &[]),
+        ("alerts", _) => (&["rules"], &["gate", "json"]),
+        ("watch", _) => (&["interval-ms", "timeout-s", "wait-s"], &[]),
+        ("dash", _) => (&["addr"], &[]),
+        _ => return None,
+    })
+}
+
 /// Parses an argument vector (without the program name or global flags).
+///
+/// # Errors
+///
+/// A flag the command does not know — including the `--flag=VALUE`
+/// spelling, which only the global flags accept — is an error naming the
+/// flag and the command, never silently ignored.
 fn parse(args: &[String]) -> Result<Command> {
     let get = |flag: &str| -> Option<String> {
         args.windows(2)
@@ -499,33 +549,39 @@ fn parse(args: &[String]) -> Result<Command> {
             .map(|w| w[1].clone())
     };
     let has = |flag: &str| args.iter().any(|a| a == flag);
-    // Positional operands: everything that is not a flag or a flag value.
-    // `boolean_flags` names the flags that take no value for the command
-    // at hand (`--gate` is a value flag in `compare` but boolean in
-    // `runs trend`, so the set is per-command).
-    let positionals_with = |boolean_flags: &[&str]| -> Vec<String> {
-        let mut out = Vec::new();
-        let mut skip = false;
-        for a in &args[1..] {
-            if skip {
-                skip = false;
-                continue;
-            }
-            if let Some(stripped) = a.strip_prefix("--") {
-                skip = !boolean_flags.contains(&stripped);
-                continue;
-            }
-            out.push(a.clone());
-        }
-        out
-    };
-    let positionals = || positionals_with(&["augment", "help", "health"]);
     let command = args.first().map(String::as_str);
     if has("--help") {
         return Ok(match command {
             Some(cmd) => Command::HelpFor(cmd.to_string()),
             None => Command::Help,
         });
+    }
+    // Positional operands: everything that is not a flag or a flag value.
+    let mut positionals = Vec::new();
+    if let Some((value_flags, bool_flags)) =
+        command.and_then(|c| command_flags(c, args.get(1).map(String::as_str)))
+    {
+        let name = match command {
+            Some("runs") => format!("runs {}", args[1]),
+            _ => command.unwrap_or_default().to_string(),
+        };
+        let mut rest = args[1..].iter();
+        while let Some(a) = rest.next() {
+            match a.strip_prefix("--") {
+                Some(flag) if value_flags.contains(&flag) => {
+                    if rest.next().is_none() {
+                        return Err(bad(format!("{name}: {a} needs a value")));
+                    }
+                }
+                Some(flag) if bool_flags.contains(&flag) => {}
+                Some(_) => {
+                    return Err(bad(format!(
+                        "{name}: unknown flag {a:?} (see `{name} --help`)"
+                    )));
+                }
+                None => positionals.push(a.clone()),
+            }
+        }
     }
     match command {
         Some("generate") => Ok(Command::Generate {
@@ -563,47 +619,33 @@ fn parse(args: &[String]) -> Result<Command> {
             index: get("--index").map_or(Ok(0), |v| v.parse().map_err(|_| bad("--index")))?,
             out_dir: get("--out-dir").unwrap_or_else(|| ".".into()),
         }),
-        Some("report") => {
-            let pos = positionals();
-            match pos.as_slice() {
-                [run] => Ok(Command::Report { run: run.clone() }),
-                _ => Err(bad("report takes exactly one <run-id|run-dir>")),
-            }
-        }
-        Some("triage") => {
-            let pos = positionals();
-            match pos.as_slice() {
-                [run] => Ok(Command::Triage {
-                    run: run.clone(),
-                    worst: get("--worst")
-                        .map_or(Ok(10), |v| v.parse().map_err(|_| bad("--worst")))?,
-                }),
-                _ => Err(bad("triage takes exactly one <run-id|run-dir>")),
-            }
-        }
-        Some("profile") => {
-            let pos = positionals();
-            match pos.as_slice() {
-                [run] => Ok(Command::Profile {
-                    run: run.clone(),
-                    top: get("--top").map_or(Ok(20), |v| v.parse().map_err(|_| bad("--top")))?,
-                }),
-                _ => Err(bad("profile takes exactly one <run-id|run-dir>")),
-            }
-        }
-        Some("health") => {
-            let pos = positionals();
-            match pos.as_slice() {
-                [run] => Ok(Command::Health {
-                    run: run.clone(),
-                    fail_on: get("--fail-on"),
-                }),
-                _ => Err(bad("health takes exactly one <run-id|run-dir>")),
-            }
-        }
+        Some("report") => match positionals.as_slice() {
+            [run] => Ok(Command::Report { run: run.clone() }),
+            _ => Err(bad("report takes exactly one <run-id|run-dir>")),
+        },
+        Some("triage") => match positionals.as_slice() {
+            [run] => Ok(Command::Triage {
+                run: run.clone(),
+                worst: get("--worst").map_or(Ok(10), |v| v.parse().map_err(|_| bad("--worst")))?,
+            }),
+            _ => Err(bad("triage takes exactly one <run-id|run-dir>")),
+        },
+        Some("profile") => match positionals.as_slice() {
+            [run] => Ok(Command::Profile {
+                run: run.clone(),
+                top: get("--top").map_or(Ok(20), |v| v.parse().map_err(|_| bad("--top")))?,
+            }),
+            _ => Err(bad("profile takes exactly one <run-id|run-dir>")),
+        },
+        Some("health") => match positionals.as_slice() {
+            [run] => Ok(Command::Health {
+                run: run.clone(),
+                fail_on: get("--fail-on"),
+            }),
+            _ => Err(bad("health takes exactly one <run-id|run-dir>")),
+        },
         Some("compare") => {
-            let pos = positionals();
-            let (a, b) = match pos.as_slice() {
+            let (a, b) = match positionals.as_slice() {
                 [a] => (a.clone(), None),
                 [a, b] => (a.clone(), Some(b.clone())),
                 _ => return Err(bad("compare takes <run-a> [<run-b>]")),
@@ -635,8 +677,7 @@ fn parse(args: &[String]) -> Result<Command> {
             }),
             Some("trend") => {
                 // The subcommand word is positional too; skip it.
-                let pos = positionals_with(&["augment", "help", "health", "gate"]);
-                let metrics = match pos.as_slice() {
+                let metrics = match positionals.as_slice() {
                     [_, m] => m.clone(),
                     _ => return Err(bad("runs trend takes exactly one <metric[,metric...]>")),
                 };
@@ -657,9 +698,7 @@ fn parse(args: &[String]) -> Result<Command> {
                 })
             }
             Some("diff-eval") => {
-                // `--gate` is boolean here, like in `runs trend`.
-                let pos = positionals_with(&["augment", "help", "health", "gate"]);
-                let (a, b) = match pos.as_slice() {
+                let (a, b) = match positionals.as_slice() {
                     [_, a, b] => (a.clone(), b.clone()),
                     _ => return Err(bad("runs diff-eval takes <run-a> <run-b>")),
                 };
@@ -687,22 +726,19 @@ fn parse(args: &[String]) -> Result<Command> {
             gate: has("--gate"),
             json: has("--json"),
         }),
-        Some("watch") => {
-            let pos = positionals();
-            match pos.as_slice() {
-                [run] => Ok(Command::Watch {
-                    run: run.clone(),
-                    interval_ms: get("--interval-ms")
-                        .map_or(Ok(200), |v| v.parse().map_err(|_| bad("--interval-ms")))?,
-                    timeout_s: get("--timeout-s")
-                        .map(|v| v.parse().map_err(|_| bad("--timeout-s")))
-                        .transpose()?,
-                    wait_s: get("--wait-s")
-                        .map_or(Ok(10), |v| v.parse().map_err(|_| bad("--wait-s")))?,
-                }),
-                _ => Err(bad("watch takes exactly one <run-id|run-dir>")),
-            }
-        }
+        Some("watch") => match positionals.as_slice() {
+            [run] => Ok(Command::Watch {
+                run: run.clone(),
+                interval_ms: get("--interval-ms")
+                    .map_or(Ok(200), |v| v.parse().map_err(|_| bad("--interval-ms")))?,
+                timeout_s: get("--timeout-s")
+                    .map(|v| v.parse().map_err(|_| bad("--timeout-s")))
+                    .transpose()?,
+                wait_s: get("--wait-s")
+                    .map_or(Ok(10), |v| v.parse().map_err(|_| bad("--wait-s")))?,
+            }),
+            _ => Err(bad("watch takes exactly one <run-id|run-dir>")),
+        },
         Some("dash") => Ok(Command::Dash {
             addr: get("--addr").unwrap_or_else(|| "127.0.0.1:9091".into()),
         }),
@@ -2023,6 +2059,31 @@ mod tests {
         assert!(parse(&strs(&["train", "--out", "m"])).is_err());
         assert!(parse(&strs(&["eval", "--data", "d"])).is_err());
         assert!(parse(&strs(&["frobnicate"])).is_err());
+    }
+
+    fn parse_err(args: &[&str]) -> String {
+        parse(&strs(args)).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn unknown_command_flags_error_naming_flag_and_command() {
+        let err = parse_err(&["train", "--data", "d", "--out", "m", "--epoch", "5"]);
+        assert!(err.contains("--epoch") && err.contains("train"), "{err}");
+        let err = parse_err(&["runs", "trend", "ede_mean_nm", "--tolpct", "5"]);
+        assert!(err.contains("--tolpct"), "{err}");
+        assert!(err.contains("runs trend"), "{err}");
+        // A flag another command knows is still unknown here.
+        assert!(parse(&strs(&["eval", "--data", "d", "--model", "m", "--augment"])).is_err());
+        assert!(parse(&strs(&["train", "--data", "d", "--out"])).is_err());
+    }
+
+    #[test]
+    fn equals_spelling_of_a_command_flag_is_rejected() {
+        // Only global flags take `--flag=VALUE`; a command flag spelled
+        // that way used to be ignored, silently training 10 epochs.
+        let err = parse_err(&["train", "--data", "d", "--out", "m", "--epochs=5"]);
+        assert!(err.contains("--epochs=5") && err.contains("train"), "{err}");
+        assert!(parse(&strs(&["compare", "a", "--gate=base.json"])).is_err());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 
 use litho_sim::MaskGrid;
+use litho_tensor::Fnv1a;
 
 use crate::Rect;
 
@@ -84,29 +85,23 @@ impl Clip {
     /// fingerprint iff their drawn geometry is bit-identical, which is
     /// what lets eval tooling join per-clip records across runs.
     pub fn fingerprint(&self) -> String {
-        fn eat(hash: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *hash ^= b as u64;
-                *hash = hash.wrapping_mul(0x0100_0000_01b3);
-            }
-        }
-        fn rect(hash: &mut u64, r: &Rect) {
+        fn rect(hash: &mut Fnv1a, r: &Rect) {
             for v in [r.x0, r.y0, r.x1, r.y1] {
-                eat(hash, &v.to_le_bytes());
+                hash.write(&v.to_le_bytes());
             }
         }
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        eat(&mut hash, &self.extent_nm.to_le_bytes());
+        let mut hash = Fnv1a::new();
+        hash.write(&self.extent_nm.to_le_bytes());
         rect(&mut hash, &self.target);
-        eat(&mut hash, &(self.neighbors.len() as u32).to_le_bytes());
+        hash.write(&(self.neighbors.len() as u32).to_le_bytes());
         for r in &self.neighbors {
             rect(&mut hash, r);
         }
-        eat(&mut hash, &(self.srafs.len() as u32).to_le_bytes());
+        hash.write(&(self.srafs.len() as u32).to_le_bytes());
         for r in &self.srafs {
             rect(&mut hash, r);
         }
-        format!("{hash:016x}")
+        hash.hex()
     }
 
     /// Returns a copy cropped to the central `crop_nm` window, with

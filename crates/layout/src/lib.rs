@@ -31,7 +31,6 @@ mod opc;
 mod patterns;
 mod raster;
 mod sraf;
-pub mod svg;
 
 pub use clip::Clip;
 pub use geometry::Rect;

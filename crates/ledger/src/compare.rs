@@ -14,14 +14,99 @@ use std::path::Path;
 use crate::json::Json;
 use crate::report::{fmt_us, metric_rows, RunData};
 
-/// Is a larger value of this metric an improvement? Slice-qualified keys
-/// (`ede_mean_nm{family=chain1d}`) follow their base metric.
-fn higher_is_better(key: &str) -> bool {
-    let base = crate::index::split_slice_key(key).map_or(key, |(metric, _)| metric);
-    matches!(
-        base,
-        "pixel_accuracy" | "class_accuracy" | "mean_iou" | "samples_per_sec"
-    )
+/// Suffix of derived achieved-GFLOP/s bench metrics (higher is better).
+pub const GFLOPS_SUFFIX: &str = "_gflops";
+
+/// Suffix of derived worker-pool-utilization bench metrics (busy time
+/// over wall time across all pool threads; higher is better).
+pub const UTIL_SUFFIX: &str = "_util";
+
+/// Suffix of derived arithmetic-intensity bench metrics (FLOPs per byte):
+/// a shape constant, recorded for roofline context and never gated.
+pub const AI_SUFFIX: &str = "_ai";
+
+/// Run metrics where a larger value is an improvement.
+const HIGHER_BETTER: [&str; 5] = [
+    "pixel_accuracy",
+    "class_accuracy",
+    "mean_iou",
+    "samples_per_sec",
+    "pool_utilization",
+];
+
+/// Which way a metric improves — the one policy behind the compare gate,
+/// `runs trend` (and the dash and alert drift rules built on it), the
+/// kernel perf gate and the bench `--json-out` merge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// Accuracies, IoU, throughput, GFLOP/s, pool utilization.
+    HigherBetter,
+    /// Everything else: error distances, times, memory.
+    LowerBetter,
+    /// A shape constant (`_ai`): never gated, never drifts.
+    Constant,
+}
+
+impl Direction {
+    /// The direction of a metric key. Slice-qualified keys
+    /// (`ede_mean_nm{family=chain1d}`) follow their base metric.
+    pub fn of(key: &str) -> Direction {
+        let base = crate::index::split_slice_key(key).map_or(key, |(metric, _)| metric);
+        if HIGHER_BETTER.contains(&base)
+            || base.ends_with(GFLOPS_SUFFIX)
+            || base.ends_with(UTIL_SUFFIX)
+        {
+            Direction::HigherBetter
+        } else if base.ends_with(AI_SUFFIX) {
+            Direction::Constant
+        } else {
+            Direction::LowerBetter
+        }
+    }
+
+    /// Is `value` worse than `reference` by more than the relative
+    /// tolerance `tol` (0.1 = 10 %)? The band is `reference.abs() * tol`
+    /// plus `f64::EPSILON` of slack, so a zero or negative reference
+    /// still admits itself. NaN always regresses; a constant never does.
+    pub(crate) fn regressed(self, value: f64, reference: f64, tol: f64) -> bool {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let band = reference.abs() * tol + f64::EPSILON;
+        // `None` (a NaN on either side) falls outside every band.
+        let cmp = |bound: f64| value.partial_cmp(&bound);
+        match self {
+            Direction::HigherBetter => !matches!(cmp(reference - band), Some(Greater | Equal)),
+            Direction::LowerBetter => !matches!(cmp(reference + band), Some(Less | Equal)),
+            Direction::Constant => false,
+        }
+    }
+
+    /// Is `a` strictly worse than `b`? Never for a constant or a NaN.
+    pub(crate) fn is_worse(self, a: f64, b: f64) -> bool {
+        match self {
+            Direction::HigherBetter => a < b,
+            Direction::LowerBetter => a > b,
+            Direction::Constant => false,
+        }
+    }
+
+    /// The better of an old and a new observation; a constant takes the
+    /// latest, so a cost-model fix propagates.
+    pub fn best(self, old: f64, new: f64) -> f64 {
+        if self == Direction::Constant || self.is_worse(old, new) {
+            new
+        } else {
+            old
+        }
+    }
+
+    /// `"higher is better"` / `"lower is better"` / `"constant"`.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Direction::HigherBetter => "higher is better",
+            Direction::LowerBetter => "lower is better",
+            Direction::Constant => "constant",
+        }
+    }
 }
 
 /// Extracts the gateable metrics of a run: the aggregated per-sample
@@ -285,8 +370,14 @@ impl GateOutcome {
         self.checks.iter().filter(|c| !c.pass)
     }
 
-    /// Human-readable gate table.
+    /// Human-readable gate table, values as `{:.4}`.
     pub fn render(&self) -> String {
+        self.render_with(|_, v| format!("{v:.4}"))
+    }
+
+    /// The gate table with values formatted by `fmt(metric, value)` —
+    /// the kernel perf gate prints durations.
+    pub fn render_with(&self, fmt: impl Fn(&str, f64) -> String) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "== gate (tolerance {:.1}%) ==", self.tol_pct);
         let w = self
@@ -298,20 +389,24 @@ impl GateOutcome {
             .max(6);
         let _ = writeln!(
             out,
-            "{:<w$} {:>12} {:>12}  verdict",
-            "metric", "baseline", "actual"
+            "{:<w$} {:>12} {:>12} {:>8}  verdict",
+            "metric", "baseline", "actual", "ratio"
         );
         for c in &self.checks {
-            let actual = match c.actual {
-                Some(v) => format!("{v:.4}"),
-                None => "missing".to_string(),
+            let (actual, ratio) = match c.actual {
+                Some(v) if c.baseline > 0.0 => {
+                    (fmt(&c.metric, v), format!("{:.2}x", v / c.baseline))
+                }
+                Some(v) => (fmt(&c.metric, v), "infx".to_string()),
+                None => ("missing".to_string(), "-".to_string()),
             };
             let _ = writeln!(
                 out,
-                "{:<w$} {:>12.4} {:>12}  {}",
+                "{:<w$} {:>12} {:>12} {:>8}  {}",
                 c.metric,
-                c.baseline,
+                fmt(&c.metric, c.baseline),
                 actual,
+                ratio,
                 if c.pass { "ok" } else { "REGRESSED" }
             );
         }
@@ -325,57 +420,109 @@ impl GateOutcome {
 }
 
 /// Gates a run against a baseline. `tol_pct_override` takes precedence
-/// over the baseline file's tolerance. A baseline metric the run does not
-/// report fails the gate (a silently-vanished metric is itself a
-/// regression).
+/// over the baseline file's tolerance.
 ///
 /// Independent of metric tolerances, a run whose health stream carries a
 /// NaN/Inf sentinel fails outright (`health:nan_free`): its metrics may
 /// look in-tolerance while the model is numerically poisoned.
 pub fn gate(run: &RunData, baseline: &Baseline, tol_pct_override: Option<f64>) -> GateOutcome {
-    let tol_pct = tol_pct_override.unwrap_or(baseline.tol_pct).max(0.0);
-    let tol = tol_pct / 100.0;
-    let metrics = run_metrics(run);
-    let mut outcome = GateOutcome {
-        checks: Vec::new(),
-        tol_pct,
-    };
+    let mut outcome = gate_metrics(&run_metrics(run), baseline, tol_pct_override);
     if let Some(h) = &run.health {
         let clean = !h.has_poison();
-        outcome.checks.push(GateCheck {
-            metric: "health:nan_free".to_string(),
-            baseline: 1.0,
-            actual: Some(if clean { 1.0 } else { 0.0 }),
-            pass: clean,
-        });
-    }
-    for (key, base) in &baseline.metrics {
-        let actual = lookup(&metrics, key);
-        let pass = match actual {
-            None => false,
-            Some(v) => {
-                if higher_is_better(key) {
-                    v >= base * (1.0 - tol)
-                } else {
-                    // Lower is better; a zero/negative baseline still
-                    // admits `base * (1 + tol)` as the ceiling.
-                    v <= base * (1.0 + tol) + f64::EPSILON
-                }
-            }
-        };
-        outcome.checks.push(GateCheck {
-            metric: key.clone(),
-            baseline: *base,
-            actual,
-            pass,
-        });
+        outcome.checks.insert(
+            0,
+            GateCheck {
+                metric: "health:nan_free".to_string(),
+                baseline: 1.0,
+                actual: Some(if clean { 1.0 } else { 0.0 }),
+                pass: clean,
+            },
+        );
     }
     outcome
+}
+
+/// Gates `metrics` against every baseline metric by its [`Direction`]:
+/// a metric that [`Direction::regressed`] beyond the tolerance fails, and
+/// so does a baseline metric `metrics` does not report (a
+/// silently-vanished metric is itself a regression). Constants produce
+/// no check. `tol_pct_override` takes precedence over the baseline
+/// file's tolerance.
+pub fn gate_metrics(
+    metrics: &[(String, f64)],
+    baseline: &Baseline,
+    tol_pct_override: Option<f64>,
+) -> GateOutcome {
+    let tol_pct = tol_pct_override.unwrap_or(baseline.tol_pct).max(0.0);
+    let checks = baseline
+        .metrics
+        .iter()
+        .filter_map(|(key, base)| {
+            let direction = Direction::of(key);
+            if direction == Direction::Constant {
+                return None;
+            }
+            let actual = lookup(metrics, key);
+            Some(GateCheck {
+                metric: key.clone(),
+                baseline: *base,
+                actual,
+                pass: actual.is_some_and(|v| !direction.regressed(v, *base, tol_pct / 100.0)),
+            })
+        })
+        .collect();
+    GateOutcome { checks, tol_pct }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn direction_policy_table() {
+        use Direction::*;
+        let headline = [
+            ("samples", LowerBetter),
+            ("ede_mean_nm", LowerBetter),
+            ("pixel_accuracy", HigherBetter),
+            ("class_accuracy", HigherBetter),
+            ("mean_iou", HigherBetter),
+            ("center_error_nm", LowerBetter),
+            ("samples_per_sec", HigherBetter),
+            ("pool_utilization", HigherBetter),
+            ("peak_workspace_bytes", LowerBetter),
+        ];
+        assert_eq!(
+            headline.map(|(k, _)| k),
+            crate::index::HEADLINE_METRICS,
+            "every headline metric has a row"
+        );
+        let others = [
+            ("mean_iou{family=array2d}", HigherBetter),
+            ("ede_mean_nm{family=chain1d}", LowerBetter),
+            ("conv", LowerBetter),
+            ("conv_gflops", HigherBetter),
+            ("conv_util", HigherBetter),
+            ("conv_ai", Constant),
+            ("_calibration", LowerBetter),
+        ];
+        for (key, want) in headline.iter().chain(&others) {
+            assert_eq!(Direction::of(key), *want, "{key}");
+        }
+    }
+
+    #[test]
+    fn regressed_is_directional_with_nan_always_regressed() {
+        let (hi, lo) = (Direction::HigherBetter, Direction::LowerBetter);
+        assert!(!hi.regressed(9.0, 10.0, 0.15) && hi.regressed(8.0, 10.0, 0.15));
+        assert!(!hi.regressed(100.0, 10.0, 0.0));
+        assert!(!lo.regressed(1.1, 1.0, 0.15) && lo.regressed(1.2, 1.0, 0.15));
+        assert!(!lo.regressed(0.1, 1.0, 0.0));
+        // The band scales with |reference|: a negative reference admits itself.
+        assert!(!lo.regressed(-1.0, -1.0, 0.1) && lo.regressed(-0.8, -1.0, 0.1));
+        assert!(hi.regressed(f64::NAN, 1.0, 1.0) && lo.regressed(f64::NAN, 1.0, 1.0));
+        assert!(!Direction::Constant.regressed(f64::NAN, 1.0, 0.0));
+    }
 
     #[test]
     fn baseline_round_trip() {

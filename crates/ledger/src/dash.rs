@@ -628,6 +628,22 @@ mod tests {
     }
 
     #[test]
+    fn throughput_drop_activates_its_drift_gauge() {
+        let records: Vec<IndexRecord> = [20.0, 21.0, 19.0, 20.0, 11.0, 10.0]
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                let id = format!("e{i}");
+                rec(&id, "eval", i as u64, "ok", &[("samples_per_sec", *v)])
+            })
+            .collect();
+        let text = prometheus_exposition(&records, &[], None, &TrendConfig::default());
+        let active = "lithogan_drift_active{metric=\"samples_per_sec\"} 1\n";
+        assert!(text.contains(active), "{text}");
+        assert!(text.contains("lithogan_drift_streak_runs{metric=\"samples_per_sec\"} 2\n"));
+    }
+
+    #[test]
     fn self_metrics_render_as_counters_and_summary() {
         let me = DashSelfMetrics {
             uptime_s: 12.5,

@@ -22,7 +22,9 @@
 //! * [`render_compare`] — `lithogan_cli compare <run-a> <run-b>` delta
 //!   table;
 //! * [`gate`] against a committed [`Baseline`] — the CI regression gate
-//!   (`compare <run> --gate baseline.json --tol-pct N`).
+//!   (`compare <run> --gate baseline.json --tol-pct N`); [`gate_metrics`]
+//!   is its metric loop, shared with the kernel perf gate. Whether a
+//!   metric improves up or down is decided in one place, [`Direction`].
 //!
 //! Above the per-run layer sits the *fleet* layer:
 //!
@@ -40,6 +42,9 @@
 //! JSONL streams.
 
 pub use litho_json as json;
+/// The shared FNV-1a behind [`fingerprint_file`], re-exported for the
+/// crates above the ledger (alert dedup keys).
+pub use litho_tensor::Fnv1a;
 
 mod compare;
 pub mod dash;
@@ -55,7 +60,10 @@ pub mod trend;
 mod triage;
 pub mod watch;
 
-pub use compare::{gate, render_compare, run_metrics, Baseline, GateCheck, GateOutcome};
+pub use compare::{
+    gate, gate_metrics, render_compare, run_metrics, Baseline, Direction, GateCheck, GateOutcome,
+    AI_SUFFIX, GFLOPS_SUFFIX, UTIL_SUFFIX,
+};
 pub use diff::{diff_eval, render_diff_eval, DiffEntry, DiffEval};
 pub use dash::{
     fleet_html, prometheus_exposition, DashSelfMetrics, LatencySummary, LiveTails,

@@ -82,7 +82,7 @@ impl DatasetInfo {
 /// Propagates I/O errors.
 pub fn fingerprint_file(path: &Path) -> io::Result<(String, u64)> {
     let mut file = fs::File::open(path)?;
-    let mut hash: u64 = 0xcbf29ce484222325;
+    let mut hash = litho_tensor::Fnv1a::new();
     let mut len: u64 = 0;
     let mut buf = [0u8; 64 * 1024];
     loop {
@@ -91,12 +91,9 @@ pub fn fingerprint_file(path: &Path) -> io::Result<(String, u64)> {
             break;
         }
         len += n as u64;
-        for &b in &buf[..n] {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
+        hash.write(&buf[..n]);
     }
-    Ok((format!("{hash:016x}"), len))
+    Ok((hash.hex(), len))
 }
 
 /// The durable description of one run, stored as

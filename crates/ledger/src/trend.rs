@@ -13,16 +13,8 @@ use std::fmt::Write as _;
 
 use litho_health::Streak;
 
+use crate::compare::Direction;
 use crate::index::IndexRecord;
-
-/// Metrics where larger values are better (accuracies/IoU); everything
-/// else — error distances, wall clock, memory — is lower-is-better.
-/// Slice-qualified keys (`ede_mean_nm{family=chain1d}`) inherit the
-/// direction of their base metric.
-pub(crate) fn higher_is_better(key: &str) -> bool {
-    let base = crate::index::split_slice_key(key).map_or(key, |(metric, _)| metric);
-    matches!(base, "pixel_accuracy" | "class_accuracy" | "mean_iou")
-}
 
 /// Tuning for the drift detector.
 #[derive(Debug, Clone, Copy)]
@@ -93,15 +85,6 @@ fn median(mut values: Vec<f64>) -> Option<f64> {
     })
 }
 
-fn is_off(value: f64, reference: f64, metric: &str, tol_pct: f64) -> bool {
-    let tol = tol_pct / 100.0;
-    if higher_is_better(metric) {
-        value < reference - reference.abs() * tol
-    } else {
-        value > reference + reference.abs() * tol
-    }
-}
-
 /// Builds the trend for `metric` over (the last `last` of) the index
 /// records, which must already be chronological (as [`crate::load_index`]
 /// returns them). NaN values are treated as off-median outright — a
@@ -120,6 +103,7 @@ pub fn trend(
         .filter(|v| v.is_finite())
         .collect();
     let reference = median(values);
+    let direction = Direction::of(metric);
 
     let mut points = Vec::with_capacity(window.len());
     let mut drift: Option<Drift> = None;
@@ -128,7 +112,7 @@ pub fn trend(
         let value = rec.metric(metric);
         let off = match (value, reference) {
             (Some(v), _) if !v.is_finite() => true,
-            (Some(v), Some(reference)) => is_off(v, reference, metric, cfg.tol_pct),
+            (Some(v), Some(reference)) => direction.regressed(v, reference, cfg.tol_pct / 100.0),
             _ => false,
         };
         if let Some(v) = value {
@@ -146,12 +130,7 @@ pub fn trend(
                 } else if let Some(d) = drift.as_mut() {
                     if streak.len > d.runs {
                         d.runs = streak.len;
-                        let worse = if higher_is_better(metric) {
-                            v < d.worst
-                        } else {
-                            v > d.worst
-                        };
-                        if worse {
+                        if direction.is_worse(v, d.worst) {
                             d.worst = v;
                         }
                     }
@@ -272,11 +251,7 @@ pub fn render_trend(t: &Trend) -> String {
                 "reference (median): {}  tolerance: {:.1}%  direction: {}",
                 fmt_value(reference),
                 t.tol_pct,
-                if higher_is_better(&t.metric) {
-                    "higher is better"
-                } else {
-                    "lower is better"
-                }
+                Direction::of(&t.metric).label()
             );
         }
         None => {
@@ -602,9 +577,34 @@ mod tests {
     }
 
     #[test]
+    fn throughput_and_utilization_drift_only_when_they_drop() {
+        for (metric, clean) in [("samples_per_sec", 10.0), ("pool_utilization", 0.5)] {
+            let series = |tail: f64| -> Vec<IndexRecord> {
+                (0..6)
+                    .map(|i| {
+                        let mut r = rec(&format!("r{i}"), 100 + i, None);
+                        let v = if i < 4 { clean } else { tail };
+                        r.metrics = vec![(metric.to_string(), v)];
+                        r
+                    })
+                    .collect()
+            };
+            let cfg = TrendConfig::default();
+            let t = trend(&series(clean * 0.6), metric, None, &cfg);
+            let d = t
+                .drift
+                .unwrap_or_else(|| panic!("{metric}: a 40% drop must drift"));
+            assert_eq!(d.start_run_id, "r4");
+            assert_eq!(d.worst, clean * 0.6);
+            let t = trend(&series(clean * 1.4), metric, None, &cfg);
+            assert!(t.drift.is_none(), "{metric}: a 40% rise is an improvement");
+            assert!(t.points.iter().all(|p| !p.off));
+            assert!(render_trend(&t).contains("direction: higher is better"));
+        }
+    }
+
+    #[test]
     fn slice_qualified_keys_trend_like_their_base_metric() {
-        assert!(higher_is_better("mean_iou{family=array2d}"));
-        assert!(!higher_is_better("ede_mean_nm{family=array2d}"));
         let key = crate::index::slice_metric_key("ede_mean_nm", "chain1d");
         let mut records: Vec<IndexRecord> = (0..3)
             .map(|i| {

@@ -33,7 +33,6 @@
 mod bbox;
 mod center;
 mod ede;
-mod epe;
 mod histogram;
 mod record;
 mod segmentation;
@@ -42,7 +41,6 @@ mod summary;
 pub use bbox::BoundingBox;
 pub use center::{center_error_nm, center_of_mass_px};
 pub use ede::{ede, EdeValue};
-pub use epe::{epe, epe_centered_square, EpeValue};
 pub use histogram::Histogram;
 pub use record::SampleRecord;
 pub use segmentation::{class_accuracy, confusion, mean_iou, pixel_accuracy, Confusion};

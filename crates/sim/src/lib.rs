@@ -46,7 +46,6 @@ mod grid;
 mod kernels;
 mod optical;
 mod process;
-mod process_window;
 mod resist;
 mod rigorous;
 
@@ -56,7 +55,6 @@ pub use grid::MaskGrid;
 pub use kernels::{hermite, OpticalKernel};
 pub use optical::OpticalModel;
 pub use process::{ProcessConfig, ResistParams};
-pub use process_window::{analyze_process_window, ProcessWindow, ProcessWindowConfig};
 pub use resist::{ResistModel, ResistPattern};
 pub use rigorous::{RigorousSim, SimReport};
 

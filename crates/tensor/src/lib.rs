@@ -19,6 +19,8 @@
 //!   scalar reference vs AVX2+FMA inner kernels, resolved once per call.
 //! * [`profile`] — static FLOPs/bytes cost models and the roofline
 //!   classification behind the kernel profiling telemetry.
+//! * [`Fnv1a`] — the incremental 64-bit FNV-1a behind every stable
+//!   fingerprint (datasets, clips, alert dedup keys).
 //! * [`rng`] — vendored deterministic PRNGs (SplitMix64, xoshiro256++) so
 //!   the workspace builds with no external dependencies.
 //!
@@ -40,6 +42,7 @@
 pub mod alloc;
 mod error;
 pub mod fft;
+mod fnv;
 mod fused;
 mod im2col;
 mod matmul;
@@ -54,6 +57,7 @@ mod tensor;
 pub use alloc::{allocated_bytes, note_workspace_bytes, peak_workspace_bytes, reset_allocated_bytes};
 pub use error::TensorError;
 pub use fft::Complex;
+pub use fnv::Fnv1a;
 pub use fused::{conv_backward_fused, conv_transpose_fused};
 pub use im2col::{col2im, im2col, im2col_into, Im2ColSpec};
 pub use matmul::{gemm, matmul, matmul_transpose_a, matmul_transpose_b, MatRef};
