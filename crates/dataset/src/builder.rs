@@ -7,8 +7,8 @@ use litho_layout::{
     insert_srafs, rasterize_clip, ClipFamily, ClipGenerator, OpcConfig, OpcEngine, RasterConfig,
     SrafRules,
 };
-use litho_sim::{ResistModel, RigorousSim};
-use litho_tensor::{Result, Tensor};
+use litho_sim::RigorousSim;
+use litho_tensor::{pool, Result, Tensor};
 
 use crate::{golden_window, Dataset, DatasetConfig, Sample};
 
@@ -26,14 +26,13 @@ pub struct GenerationStats {
     pub opc_unconverged: usize,
 }
 
-/// Per-thread generation context (the engines are cheap to build relative
-/// to a full dataset but not per-clip).
+/// The engines every clip reads, built once per `generate` call and shared
+/// by all of its tasks (cheap relative to a full dataset, not per clip).
 struct Worker {
     generator: ClipGenerator,
     sraf_rules: SrafRules,
     opc: OpcEngine,
     sim: RigorousSim,
-    resist: ResistModel,
 }
 
 impl Worker {
@@ -54,7 +53,6 @@ impl Worker {
             sraf_rules: SrafRules::for_process(process),
             opc,
             sim,
-            resist: ResistModel::new(process.resist),
         })
     }
 
@@ -88,9 +86,8 @@ impl Worker {
 
             let mask_grid = corrected.to_mask_grid(config.sim_grid);
             let (_, report) = self.sim.simulate(&mask_grid)?;
-            let excess = self.resist.excess_field(&report.aerial);
             let golden = golden_window(
-                &excess,
+                &report.excess,
                 config.sim_grid,
                 corrected.extent_nm,
                 config.golden_window_nm,
@@ -140,6 +137,10 @@ fn apply_mask_jitter<R: litho_tensor::rng::Rng + ?Sized>(clip: &mut litho_layout
     }
 }
 
+/// One clip task's outcome: its sample (`None` when every attempt came out
+/// empty) and its share of the stats.
+type ClipResult = Result<(Option<Sample>, GenerationStats)>;
+
 /// Re-centres a golden window at the image centre and reports the original
 /// bounding-box centre (the CNN's regression target).
 fn center_golden(golden: &Tensor) -> Result<(Tensor, (f32, f32))> {
@@ -172,66 +173,50 @@ fn center_golden(golden: &Tensor) -> Result<(Tensor, (f32, f32))> {
     Ok((centered, (cy, cx)))
 }
 
-/// Output of one worker thread: indexed samples plus that shard's stats.
-type WorkerResult = Result<(Vec<(usize, Sample)>, GenerationStats)>;
-
-/// Generates a dataset according to `config`, parallelised across CPU
-/// cores. Generation is deterministic in `config.seed` regardless of the
-/// thread count.
+/// Generates a dataset according to `config`.
+///
+/// Each clip is one task on the shared worker pool, so generation runs
+/// `pool::effective_threads()` clips at a time (`--threads`,
+/// `LITHO_THREADS`), all reading one set of engines; the FFTs inside a
+/// clip then run inline on its task's thread. Every clip draws from its
+/// own per-(clip, attempt) random stream, so the dataset is deterministic
+/// in `config.seed` regardless of the thread count.
 ///
 /// # Errors
 ///
 /// Propagates simulator construction/simulation errors.
 pub fn generate(config: &DatasetConfig) -> Result<(Dataset, GenerationStats)> {
     let _span = litho_telemetry::span("dataset/generate");
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(config.clip_count.max(1));
-
-    let chunk = config.clip_count.div_ceil(threads.max(1));
-    let mut results: Vec<WorkerResult> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let start = t * chunk;
-            let end = ((t + 1) * chunk).min(config.clip_count);
-            if start >= end {
-                break;
-            }
-            handles.push(scope.spawn(move || {
-                let worker = Worker::new(config)?;
-                let mut stats = GenerationStats::default();
-                let mut out = Vec::with_capacity(end - start);
-                for i in start..end {
-                    if let Some(sample) = worker.generate_sample(config, i, &mut stats)? {
-                        out.push((i, sample));
-                        litho_telemetry::counter_add("dataset.clips_generated", 1);
-                    } else {
-                        litho_telemetry::counter_add("dataset.clips_failed", 1);
-                    }
-                }
-                Ok((out, stats))
-            }));
+    let worker = Worker::new(config)?;
+    let threads = pool::effective_threads().min(config.clip_count.max(1));
+    let mut results: Vec<ClipResult> = (0..config.clip_count)
+        .map(|_| Ok((None, GenerationStats::default())))
+        .collect();
+    pool::parallel_for_chunks(&mut results, 1, |i, slot| {
+        let mut stats = GenerationStats::default();
+        let sample = worker.generate_sample(config, i, &mut stats);
+        if let Ok(sample) = &sample {
+            let counter = match sample {
+                Some(_) => "dataset.clips_generated",
+                None => "dataset.clips_failed",
+            };
+            litho_telemetry::counter_add(counter, 1);
         }
-        for h in handles {
-            results.push(h.join().expect("dataset worker panicked"));
-        }
+        slot[0] = sample.map(|s| (s, stats));
     });
 
     let mut stats = GenerationStats {
         requested: config.clip_count,
         ..GenerationStats::default()
     };
-    let mut indexed: Vec<(usize, Sample)> = Vec::with_capacity(config.clip_count);
+    let mut samples = Vec::with_capacity(config.clip_count);
     for r in results {
-        let (samples, s) = r?;
+        let (sample, s) = r?;
         stats.empty_golden_retries += s.empty_golden_retries;
         stats.opc_unconverged += s.opc_unconverged;
-        indexed.extend(samples);
+        samples.extend(sample);
     }
-    indexed.sort_by_key(|(i, _)| *i);
-    stats.generated = indexed.len();
+    stats.generated = samples.len();
     if litho_telemetry::is_enabled() {
         use litho_telemetry::Value;
         litho_telemetry::counter_add("dataset.empty_golden_retries", stats.empty_golden_retries as u64);
@@ -250,7 +235,7 @@ pub fn generate(config: &DatasetConfig) -> Result<(Dataset, GenerationStats)> {
     Ok((
         Dataset {
             config: config.clone(),
-            samples: indexed.into_iter().map(|(_, s)| s).collect(),
+            samples,
         },
         stats,
     ))

@@ -1,7 +1,5 @@
-use std::sync::Mutex;
-
 use litho_tensor::fft::{fft2_in_place, FftDirection};
-use litho_tensor::{pool, Complex, Result, TensorError};
+use litho_tensor::{Complex, Result, TensorError};
 
 use crate::kernels::{build_kernels, OpticalKernel};
 use crate::{AerialImage, MaskGrid, ProcessConfig};
@@ -10,45 +8,22 @@ use crate::{AerialImage, MaskGrid, ProcessConfig};
 ///
 /// Holds the pre-transformed SOCS kernel spectra for a fixed grid
 /// geometry, so imaging a mask costs one forward FFT of the mask plus one
-/// inverse FFT per kernel. The per-kernel inverse FFTs run in parallel on
-/// the shared worker pool (each kernel owns a disjoint field buffer) and
-/// the weighted intensity reduction stays serial in kernel order, so the
-/// result is bit-identical to the serial loop at any thread count.
+/// inverse FFT per kernel. Several models on one grid (a focus stack) can
+/// share the mask's forward transform: [`crate::RigorousSim`] transforms
+/// each mask once and images that spectrum through every model. The
+/// kernels run in order and the weighted intensity folds in kernel order,
+/// so the image is bit-identical at any thread count (a large grid's
+/// transforms split over the worker pool, see `litho_tensor::fft`).
 ///
 /// The kernel count defaults to the process's *compact* rank; the rigorous
 /// facade ([`crate::RigorousSim`]) requests the higher rank explicitly.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct OpticalModel {
     size: usize,
     pitch_nm: f64,
     defocus_nm: f64,
     /// Frequency-domain kernels (precomputed FFTs) and their weights.
     spectra: Vec<(f64, Vec<Complex>)>,
-    /// Scratch reused across `aerial_image` calls — `RigorousSim` images
-    /// the same grid repeatedly, so the staging/field buffers are hot.
-    scratch: Mutex<Scratch>,
-}
-
-/// Reusable buffers for [`OpticalModel::aerial_image`], grown on demand.
-#[derive(Debug, Default)]
-struct Scratch {
-    /// The mask lifted to complex and transformed once per call.
-    mask_spec: Vec<Complex>,
-    /// One field buffer per SOCS kernel, written by parallel tasks.
-    fields: Vec<Vec<Complex>>,
-}
-
-impl Clone for OpticalModel {
-    fn clone(&self) -> Self {
-        OpticalModel {
-            size: self.size,
-            pitch_nm: self.pitch_nm,
-            defocus_nm: self.defocus_nm,
-            spectra: self.spectra.clone(),
-            // Scratch is transient state; a clone starts cold.
-            scratch: Mutex::new(Scratch::default()),
-        }
-    }
 }
 
 impl OpticalModel {
@@ -103,7 +78,6 @@ impl OpticalModel {
             pitch_nm,
             defocus_nm,
             spectra,
-            scratch: Mutex::new(Scratch::default()),
         })
     }
 
@@ -134,53 +108,51 @@ impl OpticalModel {
     /// Returns [`TensorError::ShapeMismatch`] if the mask geometry differs
     /// from the model's grid.
     pub fn aerial_image(&self, mask: &MaskGrid) -> Result<AerialImage> {
+        self.check_grid(mask)?;
+        self.image_spectrum(&mask_spectrum(mask)?)
+    }
+
+    /// Rejects a mask whose grid is not this model's.
+    pub(crate) fn check_grid(&self, mask: &MaskGrid) -> Result<()> {
         if mask.size() != self.size || (mask.pitch_nm() - self.pitch_nm).abs() > 1e-12 {
             return Err(TensorError::ShapeMismatch {
                 left: vec![mask.size(), mask.size()],
                 right: vec![self.size, self.size],
             });
         }
+        Ok(())
+    }
+
+    /// The imaging step shared by every model on a grid: one inverse FFT
+    /// of `spectrum ⊙ k_j` per kernel, folded into the intensity in kernel
+    /// order, `((0 + w_0·|a_0|²) + w_1·|a_1|²) + …`.
+    pub(crate) fn image_spectrum(&self, spectrum: &[Complex]) -> Result<AerialImage> {
         let n = self.size;
-        let mut scratch = self.scratch.lock().expect("optical scratch poisoned");
-        let Scratch { mask_spec, fields } = &mut *scratch;
-
-        // Forward FFT of the mask once, staged into the reused buffer.
-        mask_spec.resize(n * n, Complex::ZERO);
-        for (s, &v) in mask_spec.iter_mut().zip(mask.as_slice()) {
-            *s = Complex::new(v, 0.0);
-        }
-        fft2_in_place(mask_spec, n, n, FftDirection::Forward)?;
-
-        // One inverse FFT per kernel, each into its own reused field buffer
-        // so the transforms can run in parallel. Buffers are overwritten in
-        // full, so stale contents from a previous call are harmless.
-        fields.resize_with(self.spectra.len(), Vec::new);
-        {
-            let mask_spec: &[Complex] = mask_spec;
-            let spectra = &self.spectra;
-            pool::parallel_for_chunks(fields, 1, |j, chunk| {
-                let field = &mut chunk[0];
-                field.resize(n * n, Complex::ZERO);
-                let (_, spec) = &spectra[j];
-                for ((f, &m), &k) in field.iter_mut().zip(mask_spec).zip(spec) {
-                    *f = m * k;
-                }
-                fft2_in_place(field, n, n, FftDirection::Inverse)
-                    .expect("size validated at construction");
-            });
-        }
-
-        // Weighted reduction stays serial and in kernel order: the fold
-        // `((0 + w_0·|a_0|²) + w_1·|a_1|²) + …` matches the original serial
-        // loop bit-for-bit regardless of how the FFTs were scheduled.
+        let mut field = Vec::with_capacity(n * n);
         let mut intensity = vec![0.0f64; n * n];
-        for ((weight, _), field) in self.spectra.iter().zip(fields.iter()) {
-            for (acc, a) in intensity.iter_mut().zip(field.iter()) {
+        for (weight, spec) in &self.spectra {
+            field.clear();
+            field.extend(spectrum.iter().zip(spec).map(|(&m, &k)| m * k));
+            fft2_in_place(&mut field, n, n, FftDirection::Inverse)?;
+            for (acc, a) in intensity.iter_mut().zip(&field) {
                 *acc += weight * a.norm_sqr();
             }
         }
         AerialImage::from_raw(intensity, n, self.pitch_nm)
     }
+}
+
+/// The forward FFT of a mask lifted to complex: the spectrum every model
+/// on the mask's grid images.
+pub(crate) fn mask_spectrum(mask: &MaskGrid) -> Result<Vec<Complex>> {
+    let n = mask.size();
+    let mut spectrum: Vec<Complex> = mask
+        .as_slice()
+        .iter()
+        .map(|&v| Complex::new(v, 0.0))
+        .collect();
+    fft2_in_place(&mut spectrum, n, n, FftDirection::Forward)?;
+    Ok(spectrum)
 }
 
 #[cfg(test)]

@@ -33,6 +33,16 @@ impl ResistPattern {
         })
     }
 
+    /// The pattern that prints where a development excess field
+    /// ([`ResistModel::excess_field`]) is non-negative.
+    pub(crate) fn from_excess(excess: &[f64], size: usize, pitch_nm: f64) -> Self {
+        ResistPattern {
+            size,
+            pitch_nm,
+            printed: excess.iter().map(|&e| e >= 0.0).collect(),
+        }
+    }
+
     /// Grid extent in pixels per side.
     pub fn size(&self) -> usize {
         self.size
@@ -247,13 +257,7 @@ impl ResistModel {
     /// Develops an aerial image into a binary resist pattern: diffuse,
     /// threshold, print.
     pub fn develop(&self, aerial: &AerialImage) -> ResistPattern {
-        let s = aerial.size();
-        let printed = self.excess_field(aerial).iter().map(|&e| e >= 0.0).collect();
-        ResistPattern {
-            size: s,
-            pitch_nm: aerial.pitch_nm(),
-            printed,
-        }
+        ResistPattern::from_excess(&self.excess_field(aerial), aerial.size(), aerial.pitch_nm())
     }
 }
 

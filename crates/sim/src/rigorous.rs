@@ -1,7 +1,8 @@
 use std::time::{Duration, Instant};
 
-use litho_tensor::Result;
+use litho_tensor::{pool, Result};
 
+use crate::optical::mask_spectrum;
 use crate::{AerialImage, Contour, MaskGrid, OpticalModel, ProcessConfig, ResistModel, ResistPattern};
 
 /// Timing and intermediate results of one simulation run.
@@ -13,6 +14,10 @@ pub struct SimReport {
     pub resist_time: Duration,
     /// The (focus-averaged) aerial image.
     pub aerial: AerialImage,
+    /// The development excess field of `aerial`
+    /// ([`ResistModel::excess_field`]): the pattern prints where it is
+    /// non-negative, and the contours are its zero level set.
+    pub excess: Vec<f64>,
     /// Extracted resist contours of the full grid.
     pub contours: Vec<Contour>,
 }
@@ -49,18 +54,22 @@ impl RigorousSim {
     /// Propagates optical-model construction errors (non-power-of-two
     /// grid, bad pitch).
     pub fn new(process: &ProcessConfig, size: usize, pitch_nm: f64) -> Result<Self> {
-        let models = process
-            .focus_stack_nm
-            .iter()
-            .map(|&defocus| {
-                OpticalModel::with_settings(
-                    process,
-                    size,
-                    pitch_nm,
-                    defocus,
-                    process.rigorous_kernel_count,
-                )
-            })
+        // The focus planes' models are independent, so they build in
+        // parallel (their kernel transforms then run inline).
+        let stack = &process.focus_stack_nm;
+        let mut models: Vec<Option<Result<OpticalModel>>> = stack.iter().map(|_| None).collect();
+        pool::parallel_for_chunks(&mut models, 1, |k, slot| {
+            slot[0] = Some(OpticalModel::with_settings(
+                process,
+                size,
+                pitch_nm,
+                stack[k],
+                process.rigorous_kernel_count,
+            ));
+        });
+        let models = models
+            .into_iter()
+            .map(|m| m.expect("every focus plane's task fills its slot"))
             .collect::<Result<Vec<_>>>()?;
         Ok(RigorousSim {
             process: process.clone(),
@@ -86,10 +95,16 @@ impl RigorousSim {
 
         let t0 = Instant::now();
         let span = litho_telemetry::span("optical");
+        // One forward transform of the mask, imaged through every focus
+        // model of the stack.
+        for m in &self.models {
+            m.check_grid(mask)?;
+        }
+        let spectrum = mask_spectrum(mask)?;
         let stack: Vec<AerialImage> = self
             .models
             .iter()
-            .map(|m| m.aerial_image(mask))
+            .map(|m| m.image_spectrum(&spectrum))
             .collect::<Result<Vec<_>>>()?;
         drop(span);
         let span = litho_telemetry::span("aerial");
@@ -99,12 +114,12 @@ impl RigorousSim {
 
         let t1 = Instant::now();
         let span = litho_telemetry::span("resist");
-        let pattern = self.resist.develop(&aerial);
+        let excess = self.resist.excess_field(&aerial);
+        let pattern = ResistPattern::from_excess(&excess, aerial.size(), aerial.pitch_nm());
         drop(span);
         // Contour processing: the zero level set of the development excess
         // field, mirroring the paper's "threshold + extrapolation" stage.
         let span = litho_telemetry::span("contour");
-        let excess = self.resist.excess_field(&aerial);
         let contours =
             crate::contour::extract_contours(&excess, aerial.size(), aerial.pitch_nm(), 0.0)?;
         drop(span);
@@ -119,6 +134,7 @@ impl RigorousSim {
                 optical_time,
                 resist_time,
                 aerial,
+                excess,
                 contours,
             },
         ))
@@ -188,6 +204,47 @@ mod tests {
             report.optical_time,
             compact_time
         );
+    }
+
+    #[test]
+    fn shared_spectrum_images_like_each_focus_model() {
+        let p = ProcessConfig::n10();
+        let sim = RigorousSim::new(&p, 64, 16.0).unwrap();
+        let mut mask = center_contact_mask(64, 16.0, 96.0);
+        mask.fill_rect_nm(300.0, 500.0, 380.0, 580.0, 1.0);
+        let (_, report) = sim.simulate(&mask).unwrap();
+        let stack: Vec<AerialImage> = sim
+            .models
+            .iter()
+            .map(|m| m.aerial_image(&mask).unwrap())
+            .collect();
+        let want = AerialImage::average(&stack).unwrap();
+        let bits = |img: &AerialImage| {
+            img.as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&report.aerial), bits(&want));
+    }
+
+    #[test]
+    fn report_excess_is_the_aerial_excess_field() {
+        let p = ProcessConfig::n7();
+        let sim = RigorousSim::new(&p, 64, 16.0).unwrap();
+        let (pattern, report) = sim.simulate(&center_contact_mask(64, 16.0, 96.0)).unwrap();
+        let want = ResistModel::new(p.resist).excess_field(&report.aerial);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&report.excess), bits(&want));
+        assert_eq!(pattern, ResistModel::new(p.resist).develop(&report.aerial));
+    }
+
+    #[test]
+    fn simulate_rejects_a_mask_on_another_grid() {
+        let p = ProcessConfig::n10();
+        let sim = RigorousSim::new(&p, 64, 16.0).unwrap();
+        assert!(sim.simulate(&MaskGrid::new(32, 16.0)).is_err());
+        assert!(sim.simulate(&MaskGrid::new(64, 8.0)).is_err());
     }
 
     #[test]

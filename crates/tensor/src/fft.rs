@@ -1,12 +1,29 @@
 //! Radix-2 complex FFT, 1-D and 2-D.
 //!
 //! The partially coherent optical model in `litho-sim` computes aerial
-//! images as sums of |mask ⊛ kernel|² terms; for 512×512 rasterised masks a
+//! images as sums of |mask ⊛ kernel|² terms; for 256×256 rasterised masks a
 //! direct convolution is far too slow, so kernels are applied in the
-//! frequency domain. The implementation is an iterative in-place
-//! Cooley–Tukey transform with precomputed bit-reversal — no external FFT
-//! dependency.
+//! frequency domain. The transform is an iterative radix-2 Cooley–Tukey
+//! (decimation in time) with no external FFT dependency:
+//!
+//! * One plan per `(n, direction)` holds the bit-reversal table and every
+//!   stage's twiddles, built once with the `w = w * wlen` recurrence and
+//!   cached for the life of the process.
+//! * A 2-D transform runs the rows, then the columns in tiles of four: a
+//!   tile is gathered in bit-reversed row order into a small contiguous
+//!   buffer that stays in L1, its butterflies run across the tile's
+//!   columns under one twiddle, and it is scattered back. Each element
+//!   sees the same arithmetic as in a 1-D transform of its column.
+//!
+//! Results therefore depend only on the kernel level (scalar mul/add or
+//! AVX2 `fmaddsub` butterflies), never on the tiling or the thread count;
+//! `tests/fft_fold.rs` holds a textbook reference that both levels match
+//! bit for bit.
 
+use std::sync::OnceLock;
+
+use crate::pool::{self, SendPtr};
+use crate::simd::{active_level, KernelLevel};
 use crate::{Result, TensorError};
 
 /// A complex number over `f64`.
@@ -108,6 +125,111 @@ fn check_pow2(n: usize) -> Result<()> {
     Ok(())
 }
 
+/// Columns per tile in the 2-D column pass: a 256-row tile is 16 KB, so it
+/// stays in L1 through every stage.
+const TILE: usize = 4;
+
+/// Below this many points a 2-D transform runs on the calling thread; the
+/// pool's wake-up would cost more than the transform.
+const PARALLEL_THRESHOLD: usize = 1 << 16;
+
+/// Everything about a length-`n` transform that does not depend on the
+/// data, built once per `(n, direction)` and cached for the process.
+struct Plan {
+    /// `rev[i]` is `i` with its `log2 n` low bits reversed.
+    rev: Vec<usize>,
+    /// Every stage's twiddles, concatenated: the stage of half-length `h`
+    /// reads `twiddles[h - 1..2 * h - 1]`. Each stage's run comes from the
+    /// `w = w * wlen` recurrence starting at one.
+    twiddles: Vec<Complex>,
+    /// `1/n` on the inverse, `None` on the forward transform.
+    scale: Option<f64>,
+}
+
+impl Plan {
+    fn new(n: usize, direction: FftDirection) -> Plan {
+        let bits = n.trailing_zeros();
+        let rev = (0..n)
+            .map(|i| {
+                if bits == 0 {
+                    0
+                } else {
+                    i.reverse_bits() >> (usize::BITS - bits)
+                }
+            })
+            .collect();
+        let sign = match direction {
+            FftDirection::Forward => -1.0,
+            FftDirection::Inverse => 1.0,
+        };
+        let mut twiddles = Vec::with_capacity(n - 1);
+        let mut len = 2;
+        while len <= n {
+            let wlen = Complex::from_angle(sign * 2.0 * std::f64::consts::PI / len as f64);
+            let mut w = Complex::ONE;
+            for _ in 0..len / 2 {
+                twiddles.push(w);
+                w = w * wlen;
+            }
+            len <<= 1;
+        }
+        let scale = (direction == FftDirection::Inverse).then(|| 1.0 / n as f64);
+        Plan {
+            rev,
+            twiddles,
+            scale,
+        }
+    }
+
+    /// The cached plan for a power-of-two `n`.
+    fn get(n: usize, direction: FftDirection) -> &'static Plan {
+        const BITS: usize = usize::BITS as usize;
+        static PLANS: [[OnceLock<Plan>; 2]; BITS] =
+            [const { [const { OnceLock::new() }; 2] }; BITS];
+        PLANS[n.trailing_zeros() as usize][direction as usize]
+            .get_or_init(|| Plan::new(n, direction))
+    }
+
+    /// The butterfly stages of a tile of `data.len() / cols` rows by `cols`
+    /// columns, already in bit-reversed row order, transformed down each
+    /// column. A contiguous 1-D buffer is the one-column tile.
+    fn stages(&self, data: &mut [Complex], cols: usize, level: KernelLevel) {
+        assert!(
+            data.len() == self.rev.len() * cols && (cols == 1 || cols.is_multiple_of(2)),
+            "a tile must hold the plan's rows, one or an even number of columns wide"
+        );
+        match level {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: Avx2 is only produced after CPUID confirmed AVX2+FMA;
+            // the assert above gives the kernels the shape they require,
+            // and the plan's row count is a power of two.
+            KernelLevel::Avx2 => unsafe {
+                if cols == 1 {
+                    avx2::stages(data, &self.twiddles)
+                } else {
+                    avx2::stages_tiled(data, cols, &self.twiddles)
+                }
+            },
+            _ => stages_scalar(data, cols, &self.twiddles),
+        }
+        if let Some(s) = self.scale {
+            for x in data.iter_mut() {
+                *x = *x * s;
+            }
+        }
+    }
+
+    /// Transforms a contiguous buffer in place.
+    fn transform(&self, data: &mut [Complex], level: KernelLevel) {
+        for (i, &j) in self.rev.iter().enumerate() {
+            if j > i {
+                data.swap(i, j);
+            }
+        }
+        self.stages(data, 1, level);
+    }
+}
+
 /// In-place 1-D FFT of a power-of-two-length buffer.
 ///
 /// The inverse transform includes the `1/n` normalisation, so
@@ -120,155 +242,227 @@ fn check_pow2(n: usize) -> Result<()> {
 pub fn fft_in_place(data: &mut [Complex], direction: FftDirection) -> Result<()> {
     let n = data.len();
     check_pow2(n)?;
-    if n == 1 {
-        return Ok(());
-    }
-
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - bits);
-        if j > i {
-            data.swap(i, j);
-        }
-    }
-
-    let sign = match direction {
-        FftDirection::Forward => -1.0,
-        FftDirection::Inverse => 1.0,
-    };
-
-    // Level resolved once per transform: the scalar stage loop is the
-    // reference; the AVX2 path runs two butterflies per 256-bit lane with
-    // twiddles from the *same* `w = w * wlen` recurrence, so only the
-    // butterfly arithmetic (fmaddsub vs mul/add) differs — covered by the
-    // FFT epsilon tier.
-    match crate::simd::active_level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only produced after CPUID confirmed AVX2+FMA.
-        crate::simd::KernelLevel::Avx2 => unsafe { avx2::butterfly_stages(data, sign) },
-        _ => butterfly_stages_scalar(data, sign),
-    }
-
-    if direction == FftDirection::Inverse {
-        let inv = 1.0 / n as f64;
-        for x in data.iter_mut() {
-            *x = *x * inv;
-        }
+    if n > 1 {
+        Plan::get(n, direction).transform(data, active_level());
     }
     Ok(())
 }
 
-/// The scalar (reference) Cooley–Tukey stage loop, bit-identical to the
-/// textbook formulation: per-block twiddles from the `w = w * wlen`
-/// recurrence, butterflies as plain complex mul/add.
-fn butterfly_stages_scalar(data: &mut [Complex], sign: f64) {
-    let n = data.len();
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::from_angle(ang);
-        let mut i = 0;
-        while i < n {
-            let mut w = Complex::ONE;
-            for j in 0..len / 2 {
-                let u = data[i + j];
-                let v = data[i + j + len / 2] * w;
-                data[i + j] = u + v;
-                data[i + j + len / 2] = u - v;
-                w = w * wlen;
+/// The scalar (reference) stage loop: per-stage twiddles from the plan,
+/// butterflies as plain complex mul/add, the multiply by one at each
+/// block's first butterfly included.
+fn stages_scalar(data: &mut [Complex], cols: usize, twiddles: &[Complex]) {
+    let rows = data.len() / cols;
+    let shift = cols.trailing_zeros();
+    let mut half = 1;
+    while half < rows {
+        let tw = &twiddles[half - 1..2 * half - 1];
+        for block in data.chunks_exact_mut(2 * half * cols) {
+            let (lo, hi) = block.split_at_mut(half * cols);
+            // Element `k` of the block's first half sits in row `k / cols`.
+            for (k, (a, b)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
+                let u = *a;
+                let v = *b * tw[k >> shift];
+                *a = u + v;
+                *b = u - v;
             }
-            i += len;
         }
-        len <<= 1;
+        half <<= 1;
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! AVX2+FMA butterfly stages: two complex f64 butterflies per 256-bit
-    //! vector. Twiddles for each stage are materialised once (per-call
-    //! scratch, reused across blocks) with the *same* sequential
-    //! `w = w * wlen` fold as the scalar loop, so twiddle values are
-    //! bit-identical across levels; only the butterfly product uses
-    //! `fmaddsub`, which the FFT epsilon tier covers.
+    //! AVX2+FMA butterfly stages, two complex f64 butterflies per 256-bit
+    //! vector. Twiddles come from the plan, so their values are those of
+    //! the scalar level; only the product `v * w` differs, computed with
+    //! `fmaddsub` (the FFT epsilon tier covers it). The length-2 stage's
+    //! twiddle is exactly one, so it is a plain add/sub.
+    //!
+    //! Stages run two at a time: the four values a pair of radix-2 stages
+    //! combines are loaded once, put through both stages' butterflies in
+    //! registers and stored once. Each value sees the same operations in
+    //! the same order as in two separate stages, so fusing changes no bit.
     use super::Complex;
     use std::arch::x86_64::*;
-    use std::cell::RefCell;
 
-    thread_local! {
-        /// Per-thread twiddle table scratch, grown on demand.
-        static TWIDDLES: RefCell<Vec<Complex>> = const { RefCell::new(Vec::new()) };
+    /// `v * w` on interleaved `(re, im)` lanes, given `w.re` and `w.im`
+    /// in their lanes: even lanes `w.re*v.re - w.im*v.im`, odd lanes
+    /// `w.re*v.im + w.im*v.re`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn cmul(v: __m256d, (wr, wi): (__m256d, __m256d)) -> __m256d {
+        let vs = _mm256_permute_pd(v, 0b0101);
+        _mm256_fmaddsub_pd(wr, v, _mm256_mul_pd(wi, vs))
     }
 
+    /// One radix-2 butterfly pair: `(u + v·w, u - v·w)`, or `(u + v, u - v)`
+    /// for the length-2 stage (`w = None`).
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn bfly(u: __m256d, v: __m256d, w: Option<(__m256d, __m256d)>) -> (__m256d, __m256d) {
+        let vw = match w {
+            Some(w) => cmul(v, w),
+            None => v,
+        };
+        (_mm256_add_pd(u, vw), _mm256_sub_pd(u, vw))
+    }
+
+    /// Twiddles `k` and `k + 1`, each part duplicated across its
+    /// butterfly's two lanes.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn pair(twiddles: *const Complex, k: usize) -> (__m256d, __m256d) {
+        let w = _mm256_loadu_pd(twiddles.add(k).cast::<f64>());
+        (_mm256_movedup_pd(w), _mm256_permute_pd(w, 0b1111))
+    }
+
+    /// Twiddle `w` broadcast across a vector.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn splat(w: Complex) -> (__m256d, __m256d) {
+        (_mm256_set1_pd(w.re), _mm256_set1_pd(w.im))
+    }
+
+    /// The length-2 butterfly of the two values in one vector:
+    /// `[x0, x1] -> [x0 + x1, x0 - x1]`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn bfly_in_lanes(x: __m256d) -> __m256d {
+        let s = _mm256_permute2f128_pd(x, x, 0x01);
+        _mm256_blend_pd(_mm256_add_pd(x, s), _mm256_sub_pd(s, x), 0b1100)
+    }
+
+    /// Stages of a contiguous buffer, two butterflies of one block per
+    /// vector with their two twiddles loaded side by side.
+    ///
     /// # Safety
     ///
-    /// Host must support AVX2 and FMA; `data.len()` must be a power of two.
+    /// Host must support AVX2 and FMA; `data.len()` must be a power of two
+    /// and `twiddles` a plan's table for that length.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn butterfly_stages(data: &mut [Complex], sign: f64) {
-        TWIDDLES.with(|cell| {
-            let mut tw = cell.borrow_mut();
-            butterfly_stages_inner(data, sign, &mut tw);
-        });
+    pub(super) unsafe fn stages(data: &mut [Complex], twiddles: &[Complex]) {
+        let n = data.len();
+        debug_assert!(n.is_power_of_two() && twiddles.len() == n - 1);
+        let p = data.as_mut_ptr().cast::<f64>();
+        let tw = twiddles.as_ptr();
+        if n < 4 {
+            if n == 2 {
+                let (u, v) = (_mm_loadu_pd(p), _mm_loadu_pd(p.add(2)));
+                _mm_storeu_pd(p, _mm_add_pd(u, v));
+                _mm_storeu_pd(p.add(2), _mm_sub_pd(u, v));
+            }
+            return;
+        }
+        // Stages of length 2 and 4: one block of four values per two vectors.
+        let w = pair(tw, 1);
+        for i in (0..n).step_by(4) {
+            let (pu, pv) = (p.add(2 * i), p.add(2 * i + 4));
+            let u = bfly_in_lanes(_mm256_loadu_pd(pu));
+            let v = bfly_in_lanes(_mm256_loadu_pd(pv));
+            let (a, b) = bfly(u, v, Some(w));
+            _mm256_storeu_pd(pu, a);
+            _mm256_storeu_pd(pv, b);
+        }
+        let mut half = 4;
+        // Pairs of stages `half` and `2 * half`: values `j`, `j + half`,
+        // `j + 2 * half` and `j + 3 * half` of each block of `4 * half`.
+        while 4 * half <= n {
+            for i in (0..n).step_by(4 * half) {
+                for j in (0..half).step_by(2) {
+                    let pa = p.add(2 * (i + j));
+                    let [pb, pc, pd] = [1, 2, 3].map(|k| pa.add(2 * k * half));
+                    let w1 = pair(tw, half - 1 + j);
+                    let (a, b) = bfly(_mm256_loadu_pd(pa), _mm256_loadu_pd(pb), Some(w1));
+                    let (c, d) = bfly(_mm256_loadu_pd(pc), _mm256_loadu_pd(pd), Some(w1));
+                    let (a, c) = bfly(a, c, Some(pair(tw, 2 * half - 1 + j)));
+                    let (b, d) = bfly(b, d, Some(pair(tw, 3 * half - 1 + j)));
+                    _mm256_storeu_pd(pa, a);
+                    _mm256_storeu_pd(pb, b);
+                    _mm256_storeu_pd(pc, c);
+                    _mm256_storeu_pd(pd, d);
+                }
+            }
+            half <<= 2;
+        }
+        // An odd stage count leaves the last stage on its own.
+        if half < n {
+            for j in (0..half).step_by(2) {
+                let (pu, pv) = (p.add(2 * j), p.add(2 * (j + half)));
+                let (a, b) = bfly(
+                    _mm256_loadu_pd(pu),
+                    _mm256_loadu_pd(pv),
+                    Some(pair(tw, half - 1 + j)),
+                );
+                _mm256_storeu_pd(pu, a);
+                _mm256_storeu_pd(pv, b);
+            }
+        }
     }
 
+    /// Stages of a `rows × cols` tile down its columns: each butterfly
+    /// row pair shares one twiddle, broadcast across the tile's columns.
+    ///
+    /// # Safety
+    ///
+    /// Host must support AVX2 and FMA; `cols` must be even, `data.len()`
+    /// a power-of-two multiple of `cols`, and `twiddles` a plan's table
+    /// for that row count.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn butterfly_stages_inner(data: &mut [Complex], sign: f64, tw: &mut Vec<Complex>) {
-        let n = data.len();
-        let mut len = 2;
-        while len <= n {
-            let half = len / 2;
-            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-            let wlen = Complex::from_angle(ang);
-            if half < 2 {
-                // len == 2: twiddle is exactly 1, plain add/sub pairs.
-                let mut i = 0;
-                while i < n {
-                    let u = data[i];
-                    let v = data[i + 1];
-                    data[i] = u + v;
-                    data[i + 1] = u - v;
-                    i += 2;
+    pub(super) unsafe fn stages_tiled(data: &mut [Complex], cols: usize, twiddles: &[Complex]) {
+        let rows = data.len() / cols;
+        debug_assert!(
+            cols.is_multiple_of(2) && rows.is_power_of_two() && twiddles.len() == rows - 1
+        );
+        let p = data.as_mut_ptr().cast::<f64>();
+        let row = |r: usize| p.add(2 * r * cols);
+        // The stage of half-length `half`'s twiddle `j`; none at length 2.
+        let tw = |half: usize, j: usize| (half > 1).then(|| splat(twiddles[half - 1 + j]));
+        let mut half = 1;
+        // Pairs of stages, as in `stages` but on whole rows.
+        while 4 * half <= rows {
+            for i in (0..rows).step_by(4 * half) {
+                for j in 0..half {
+                    let pa = row(i + j);
+                    let [pb, pc, pd] = [1, 2, 3].map(|k| row(i + j + k * half));
+                    let (w1, w2, w3) = (tw(half, j), tw(2 * half, j), tw(2 * half, j + half));
+                    for c in (0..2 * cols).step_by(4) {
+                        let (a, b) =
+                            bfly(_mm256_loadu_pd(pa.add(c)), _mm256_loadu_pd(pb.add(c)), w1);
+                        let (cc, d) =
+                            bfly(_mm256_loadu_pd(pc.add(c)), _mm256_loadu_pd(pd.add(c)), w1);
+                        let (a, cc) = bfly(a, cc, w2);
+                        let (b, d) = bfly(b, d, w3);
+                        _mm256_storeu_pd(pa.add(c), a);
+                        _mm256_storeu_pd(pb.add(c), b);
+                        _mm256_storeu_pd(pc.add(c), cc);
+                        _mm256_storeu_pd(pd.add(c), d);
+                    }
                 }
-                len <<= 1;
-                continue;
             }
-            // Same recurrence the scalar loop runs per block, done once per
-            // stage and shared by every block.
-            tw.clear();
-            let mut w = Complex::ONE;
-            for _ in 0..half {
-                tw.push(w);
-                w = w * wlen;
-            }
-            let mut i = 0;
-            while i < n {
-                // `half` is a power of two >= 2, so pairs cover it exactly.
-                let mut j = 0;
-                while j < half {
-                    let pu = data.as_mut_ptr().add(i + j).cast::<f64>();
-                    let pv = data.as_mut_ptr().add(i + j + half).cast::<f64>();
-                    let u = _mm256_loadu_pd(pu);
-                    let v = _mm256_loadu_pd(pv);
-                    let wv = _mm256_loadu_pd(tw.as_ptr().add(j).cast::<f64>());
-                    // Complex multiply v * w on interleaved (re, im) lanes:
-                    // even lanes w.re*v.re - w.im*v.im, odd w.re*v.im + w.im*v.re.
-                    let wr = _mm256_movedup_pd(wv);
-                    let wi = _mm256_permute_pd(wv, 0b1111);
-                    let vs = _mm256_permute_pd(v, 0b0101);
-                    let vw = _mm256_fmaddsub_pd(wr, v, _mm256_mul_pd(wi, vs));
-                    _mm256_storeu_pd(pu, _mm256_add_pd(u, vw));
-                    _mm256_storeu_pd(pv, _mm256_sub_pd(u, vw));
-                    j += 2;
+            half <<= 2;
+        }
+        if half < rows {
+            for j in 0..half {
+                let (pu, pv) = (row(j), row(j + half));
+                let w = tw(half, j);
+                for c in (0..2 * cols).step_by(4) {
+                    let (a, b) = bfly(_mm256_loadu_pd(pu.add(c)), _mm256_loadu_pd(pv.add(c)), w);
+                    _mm256_storeu_pd(pu.add(c), a);
+                    _mm256_storeu_pd(pv.add(c), b);
                 }
-                i += len;
             }
-            len <<= 1;
         }
     }
 }
 
 /// In-place 2-D FFT of a row-major `h x w` buffer (both power-of-two).
+///
+/// Rows are transformed first, then columns in tiles of [`TILE`] columns
+/// (see the module docs); each 1-D transform applies its own `1/n` on the
+/// inverse. Transforms of at least `PARALLEL_THRESHOLD` points split their
+/// rows, then their column tiles, over the worker pool; every element's
+/// arithmetic is the same at any thread count.
 ///
 /// # Errors
 ///
@@ -293,82 +487,70 @@ pub fn fft2_in_place(
         || format!("fft2[{h}x{w}]"),
         crate::profile::KernelCost::fft2(h, w),
     );
+    let level = active_level();
+    let tasks = if h * w >= PARALLEL_THRESHOLD {
+        pool::effective_threads()
+    } else {
+        1
+    };
 
-    // Rows.
-    for row in data.chunks_mut(w) {
-        fft_in_place(row, direction)?;
+    if w > 1 {
+        let plan = Plan::get(w, direction);
+        pool::parallel_for_chunks(data, h.div_ceil(tasks) * w, |_, rows| {
+            for row in rows.chunks_exact_mut(w) {
+                plan.transform(row, level);
+            }
+        });
     }
-    // Columns, via a scratch buffer.
-    let mut col = vec![Complex::ZERO; h];
-    for x in 0..w {
-        for y in 0..h {
-            col[y] = data[y * w + x];
-        }
-        fft_in_place(&mut col, direction)?;
-        for y in 0..h {
-            data[y * w + x] = col[y];
+    if h > 1 {
+        let plan = Plan::get(h, direction);
+        match w {
+            1 => columns::<1>(data, w, plan, level, tasks),
+            2 => columns::<2>(data, w, plan, level, tasks),
+            _ => columns::<TILE>(data, w, plan, level, tasks),
         }
     }
     Ok(())
 }
 
-/// Cyclic 2-D convolution of two real `h x w` images via the FFT.
-///
-/// The kernel is assumed to be centred at `(0, 0)` in wrap-around
-/// convention (use [`shift_kernel_to_origin`] for a centred kernel).
-///
-/// # Errors
-///
-/// Propagates FFT validation errors.
-pub fn convolve2_real(a: &[f64], b: &[f64], h: usize, w: usize) -> Result<Vec<f64>> {
-    let mut fa: Vec<Complex> = a.iter().map(|&v| Complex::new(v, 0.0)).collect();
-    let mut fb: Vec<Complex> = b.iter().map(|&v| Complex::new(v, 0.0)).collect();
-    fft2_in_place(&mut fa, h, w, FftDirection::Forward)?;
-    fft2_in_place(&mut fb, h, w, FftDirection::Forward)?;
-    for (x, y) in fa.iter_mut().zip(&fb) {
-        *x = *x * *y;
-    }
-    fft2_in_place(&mut fa, h, w, FftDirection::Inverse)?;
-    Ok(fa.iter().map(|c| c.re).collect())
-}
-
-/// Cyclic 2-D complex convolution: returns `a ⊛ b` where both are spatial
-/// domain complex fields. Used for amplitude (coherent) imaging.
-///
-/// # Errors
-///
-/// Propagates FFT validation errors.
-pub fn convolve2_complex(
-    a: &[Complex],
-    b: &[Complex],
-    h: usize,
+/// The column pass of a row-major buffer `w` wide, in tiles of `C`
+/// columns (`C` divides `w`), spread over `tasks` pool tasks: gather a
+/// tile's rows in bit-reversed order, run the stages down its columns,
+/// scatter it back.
+fn columns<const C: usize>(
+    data: &mut [Complex],
     w: usize,
-) -> Result<Vec<Complex>> {
-    let mut fa = a.to_vec();
-    let mut fb = b.to_vec();
-    fft2_in_place(&mut fa, h, w, FftDirection::Forward)?;
-    fft2_in_place(&mut fb, h, w, FftDirection::Forward)?;
-    for (x, y) in fa.iter_mut().zip(&fb) {
-        *x = *x * *y;
-    }
-    fft2_in_place(&mut fa, h, w, FftDirection::Inverse)?;
-    Ok(fa)
-}
-
-/// Rearranges a kernel whose centre sits at `(h/2, w/2)` into wrap-around
-/// order with the centre at `(0, 0)` (an `ifftshift`).
-pub fn shift_kernel_to_origin(kernel: &[f64], h: usize, w: usize) -> Vec<f64> {
-    let mut out = vec![0.0; h * w];
-    let cy = h / 2;
-    let cx = w / 2;
-    for y in 0..h {
-        for x in 0..w {
-            let sy = (y + cy) % h;
-            let sx = (x + cx) % w;
-            out[y * w + x] = kernel[sy * w + sx];
+    plan: &Plan,
+    level: KernelLevel,
+    tasks: usize,
+) {
+    let h = plan.rev.len();
+    assert_eq!(data.len(), h * w, "buffer must hold the plan's rows");
+    let tiles = w / C;
+    let per_task = tiles.div_ceil(tasks);
+    let base = SendPtr::new(data.as_mut_ptr());
+    pool::parallel_for(tiles.div_ceil(per_task), |t| {
+        let mut tile = vec![[Complex::ZERO; C]; h];
+        for x0 in (t * per_task..((t + 1) * per_task).min(tiles)).map(|k| k * C) {
+            for (dst, &src) in tile.iter_mut().zip(&plan.rev) {
+                // SAFETY: `src < h` and `x0 + C <= w`, so the run is in
+                // bounds of `data` (length asserted above); tasks own
+                // disjoint column runs, and `data` outlives the blocking
+                // `parallel_for`.
+                *dst = unsafe { base.get().add(src * w + x0).cast::<[Complex; C]>().read() };
+            }
+            plan.stages(tile.as_flattened_mut(), C, level);
+            for (r, out) in tile.iter().enumerate() {
+                // SAFETY: as for the gather above, with `r < h`.
+                unsafe {
+                    base.get()
+                        .add(r * w + x0)
+                        .cast::<[Complex; C]>()
+                        .write(*out)
+                };
+            }
         }
-    }
-    out
+    });
 }
 
 #[cfg(test)]
@@ -442,53 +624,6 @@ mod tests {
         for (got, want) in data.iter().zip(&original) {
             assert!((got.re - want.re).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn convolution_with_delta_is_identity() {
-        use crate::rng::{Rng, SeedableRng};
-        let mut rng = crate::rng::StdRng::seed_from_u64(4);
-        let (h, w) = (8, 8);
-        let img: Vec<f64> = (0..h * w).map(|_| rng.gen_range(0.0..1.0)).collect();
-        let mut delta = vec![0.0; h * w];
-        delta[0] = 1.0; // delta at the origin in wrap-around convention
-        let out = convolve2_real(&img, &delta, h, w).unwrap();
-        for (got, want) in out.iter().zip(&img) {
-            assert!((got - want).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn convolution_matches_naive_cyclic() {
-        use crate::rng::{Rng, SeedableRng};
-        let mut rng = crate::rng::StdRng::seed_from_u64(5);
-        let (h, w) = (4, 8);
-        let a: Vec<f64> = (0..h * w).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let b: Vec<f64> = (0..h * w).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let fast = convolve2_real(&a, &b, h, w).unwrap();
-        for y in 0..h {
-            for x in 0..w {
-                let mut acc = 0.0;
-                for dy in 0..h {
-                    for dx in 0..w {
-                        let sy = (y + h - dy) % h;
-                        let sx = (x + w - dx) % w;
-                        acc += a[sy * w + sx] * b[dy * w + dx];
-                    }
-                }
-                assert!((fast[y * w + x] - acc).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn shift_kernel_moves_center_to_origin() {
-        let (h, w) = (4, 4);
-        let mut k = vec![0.0; h * w];
-        k[(h / 2) * w + (w / 2)] = 1.0;
-        let shifted = shift_kernel_to_origin(&k, h, w);
-        assert_eq!(shifted[0], 1.0);
-        assert_eq!(shifted.iter().sum::<f64>(), 1.0);
     }
 
     #[test]

@@ -25,10 +25,18 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> run ledger + metric regression gate"
 cli=target/release/lithogan_cli
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
+
+echo "==> dataset bytes independent of the thread count"
+# generate runs its clips as worker-pool tasks; the file must not change
+# with the pool width.
+"$cli" --no-run --threads 1 generate --clips 4 --size 32 --out "$work/threads1.lgd"
+"$cli" --no-run --threads 2 generate --clips 4 --size 32 --out "$work/threads2.lgd"
+cmp "$work/threads1.lgd" "$work/threads2.lgd"
+
+echo "==> run ledger + metric regression gate"
 "$cli" --runs-root "$work/runs" generate --clips 12 --size 32 --out "$work/data.lgd"
 "$cli" --runs-root "$work/runs" train --data "$work/data.lgd" --epochs 2 --seed 1 --health --out "$work/model.lgm"
 run=$(ls "$work/runs" | grep '^train-')
