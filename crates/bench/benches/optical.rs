@@ -1,6 +1,7 @@
-//! Microbenches for the optical substrate: SOCS kernel construction and
-//! aerial-image computation at compact vs rigorous rank — the
-//! computational gap behind Table 4's rigorous-vs-ML runtime hierarchy.
+//! Microbenches for the optical substrate: SOCS kernel construction, the
+//! rigorous engine's construction, and aerial-image computation at compact
+//! vs rigorous rank — the computational gap behind Table 4's
+//! rigorous-vs-ML runtime hierarchy.
 //!
 //! Flags: `--samples=N`, `--min-sample-ms=N`, `--quick`, `--trace`,
 //! `--metrics-out FILE`.
@@ -42,6 +43,9 @@ fn bench_rigorous_vs_compact(mb: &MicroBench) {
         resist.develop(&aerial)
     });
 
+    mb.run("rigorous_new_256", || {
+        RigorousSim::new(&process, size, pitch).unwrap()
+    });
     let rigorous = RigorousSim::new(&process, size, pitch).unwrap();
     mb.run("rigorous_flow_256", || rigorous.simulate(&mask).unwrap());
 }

@@ -64,25 +64,61 @@ impl AerialImage {
         self.intensity.iter().copied().fold(f64::MAX, f64::min)
     }
 
-    /// Gradient magnitude (nm⁻¹ units) at pixel `(y, x)` by central
-    /// differences, clamped at the border.
-    pub fn slope_at(&self, y: usize, x: usize) -> f64 {
-        let s = self.size;
+    /// Averages a stack of same-geometry aerial images (focus averaging in
+    /// the rigorous simulator), summing them in order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`] if the stack is empty or
+    /// geometries disagree.
+    pub fn average<'a>(stack: impl IntoIterator<Item = &'a AerialImage>) -> Result<AerialImage> {
+        let mut stack = stack.into_iter();
+        let first = stack.next().ok_or_else(|| {
+            TensorError::InvalidArgument("cannot average an empty focus stack".into())
+        })?;
+        let mut out = vec![0.0f64; first.intensity.len()];
+        let mut n = 0usize;
+        for img in std::iter::once(first).chain(stack) {
+            if img.size != first.size || (img.pitch_nm - first.pitch_nm).abs() > 1e-12 {
+                return Err(TensorError::InvalidArgument(
+                    "aerial image geometries disagree".into(),
+                ));
+            }
+            for (o, &v) in out.iter_mut().zip(&img.intensity) {
+                *o += v;
+            }
+            n += 1;
+        }
+        let n = n as f64;
+        for o in &mut out {
+            *o /= n;
+        }
+        AerialImage::from_raw(out, first.size, first.pitch_nm)
+    }
+}
+
+/// The whole-image filters that [`crate::ResistModel::excess_field`] fuses
+/// into one pass, one stage at a time: its test oracle.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::AerialImage;
+
+    /// Gradient magnitude at `(y, x)` by central differences, clamped
+    /// at the border.
+    pub fn slope_at(img: &AerialImage, y: usize, x: usize) -> f64 {
+        let s = img.size();
         let xm = x.saturating_sub(1);
         let xp = (x + 1).min(s - 1);
         let ym = y.saturating_sub(1);
         let yp = (y + 1).min(s - 1);
-        let dx = (self.at(y, xp) - self.at(y, xm)) / ((xp - xm).max(1) as f64 * self.pitch_nm);
-        let dy = (self.at(yp, x) - self.at(ym, x)) / ((yp - ym).max(1) as f64 * self.pitch_nm);
+        let dx = (img.at(y, xp) - img.at(y, xm)) / ((xp - xm).max(1) as f64 * img.pitch_nm());
+        let dy = (img.at(yp, x) - img.at(ym, x)) / ((yp - ym).max(1) as f64 * img.pitch_nm());
         (dx * dx + dy * dy).sqrt()
     }
 
-    /// Local intensity envelope: the maximum over a square window of
-    /// half-width `window_px` pixels centred on each pixel (separable
-    /// max-filter, O(n · window)).
-    pub fn envelope(&self, window_px: usize) -> Vec<f64> {
-        let s = self.size;
-        // Horizontal pass.
+    /// Maximum over a square window of half-width `window_px`.
+    pub fn envelope(img: &AerialImage, window_px: usize) -> Vec<f64> {
+        let s = img.size();
         let mut horiz = vec![0.0f64; s * s];
         for y in 0..s {
             for x in 0..s {
@@ -90,12 +126,11 @@ impl AerialImage {
                 let x1 = (x + window_px + 1).min(s);
                 let mut best = f64::MIN;
                 for xi in x0..x1 {
-                    best = best.max(self.intensity[y * s + xi]);
+                    best = best.max(img.at(y, xi));
                 }
                 horiz[y * s + x] = best;
             }
         }
-        // Vertical pass.
         let mut out = vec![0.0f64; s * s];
         for y in 0..s {
             let y0 = y.saturating_sub(window_px);
@@ -111,12 +146,11 @@ impl AerialImage {
         out
     }
 
-    /// Returns a Gaussian-blurred copy (separable convolution), modelling
-    /// acid diffusion with length `sigma_nm`.
-    pub fn blurred(&self, sigma_nm: f64) -> AerialImage {
-        let sigma_px = sigma_nm / self.pitch_nm;
+    /// Separable Gaussian blur of length `sigma_nm`.
+    pub fn blurred(img: &AerialImage, sigma_nm: f64) -> AerialImage {
+        let sigma_px = sigma_nm / img.pitch_nm();
         if sigma_px < 1e-6 {
-            return self.clone();
+            return img.clone();
         }
         let radius = (sigma_px * 3.0).ceil() as usize;
         let mut kernel = Vec::with_capacity(2 * radius + 1);
@@ -130,16 +164,15 @@ impl AerialImage {
         for v in &mut kernel {
             *v /= norm;
         }
-
-        let s = self.size;
+        let s = img.size();
         let mut horiz = vec![0.0f64; s * s];
         for y in 0..s {
             for x in 0..s {
                 let mut acc = 0.0;
                 for (i, &k) in kernel.iter().enumerate() {
-                    let xi = (x as isize + i as isize - radius as isize)
-                        .clamp(0, s as isize - 1) as usize;
-                    acc += k * self.intensity[y * s + xi];
+                    let xi = (x as isize + i as isize - radius as isize).clamp(0, s as isize - 1)
+                        as usize;
+                    acc += k * img.at(y, xi);
                 }
                 horiz[y * s + x] = acc;
             }
@@ -149,52 +182,20 @@ impl AerialImage {
             for x in 0..s {
                 let mut acc = 0.0;
                 for (i, &k) in kernel.iter().enumerate() {
-                    let yi = (y as isize + i as isize - radius as isize)
-                        .clamp(0, s as isize - 1) as usize;
+                    let yi = (y as isize + i as isize - radius as isize).clamp(0, s as isize - 1)
+                        as usize;
                     acc += k * horiz[yi * s + x];
                 }
                 out[y * s + x] = acc;
             }
         }
-        AerialImage {
-            size: s,
-            pitch_nm: self.pitch_nm,
-            intensity: out,
-        }
-    }
-
-    /// Averages a stack of same-geometry aerial images (focus averaging in
-    /// the rigorous simulator).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidArgument`] if the stack is empty or
-    /// geometries disagree.
-    pub fn average(stack: &[AerialImage]) -> Result<AerialImage> {
-        let first = stack.first().ok_or_else(|| {
-            TensorError::InvalidArgument("cannot average an empty focus stack".into())
-        })?;
-        let mut out = vec![0.0f64; first.intensity.len()];
-        for img in stack {
-            if img.size != first.size || (img.pitch_nm - first.pitch_nm).abs() > 1e-12 {
-                return Err(TensorError::InvalidArgument(
-                    "aerial image geometries disagree".into(),
-                ));
-            }
-            for (o, &v) in out.iter_mut().zip(&img.intensity) {
-                *o += v;
-            }
-        }
-        let n = stack.len() as f64;
-        for o in &mut out {
-            *o /= n;
-        }
-        AerialImage::from_raw(out, first.size, first.pitch_nm)
+        AerialImage::from_raw(out, s, img.pitch_nm()).unwrap()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::*;
     use super::*;
 
     fn delta_image(size: usize) -> AerialImage {
@@ -212,7 +213,7 @@ mod tests {
     #[test]
     fn blur_preserves_total_intensity() {
         let img = delta_image(32);
-        let blurred = img.blurred(8.0);
+        let blurred = blurred(&img, 8.0);
         let total: f64 = blurred.as_slice().iter().sum();
         assert!((total - 1.0).abs() < 1e-6);
         // Peak spreads out.
@@ -223,13 +224,13 @@ mod tests {
     #[test]
     fn blur_zero_sigma_is_identity() {
         let img = delta_image(16);
-        assert_eq!(img.blurred(0.0), img);
+        assert_eq!(blurred(&img, 0.0), img);
     }
 
     #[test]
     fn envelope_is_local_max() {
         let img = delta_image(16);
-        let env = img.envelope(2);
+        let env = envelope(&img, 2);
         // Within 2 pixels of the delta, envelope = 1.
         assert_eq!(env[8 * 16 + 8], 1.0);
         assert_eq!(env[6 * 16 + 8], 1.0);
@@ -245,7 +246,7 @@ mod tests {
             .collect();
         let img = AerialImage::from_raw(data, size, pitch).unwrap();
         // dI/dx = 0.1 per pixel = 0.05 per nm.
-        assert!((img.slope_at(8, 8) - 0.05).abs() < 1e-9);
+        assert!((slope_at(&img, 8, 8) - 0.05).abs() < 1e-9);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Rayleigh resolution. Defocus enters as a quadratic phase that broadens
 //! the effective kernel.
 
-use litho_tensor::Complex;
+use litho_tensor::{pool, Complex};
 
 use crate::ProcessConfig;
 
@@ -77,6 +77,9 @@ fn mode_orders(count: usize) -> Vec<(usize, usize)> {
 /// Kernels are returned in wrap-around order ready for FFT convolution,
 /// and are jointly normalised so that a clear-field mask images to
 /// intensity 1 at best focus.
+///
+/// Defocus enters only through `defocus²` and an odd phase, so the kernels
+/// at `-d` are the exact complex conjugates of those at `d`.
 pub fn build_kernels(
     process: &ProcessConfig,
     size: usize,
@@ -92,55 +95,94 @@ pub fn build_kernels(
     let defocus_broaden = 1.0 + (defocus_nm / process.wavelength_nm).powi(2) * 3.0;
     let sigma_nm = base_sigma_nm * defocus_broaden;
     let sigma_px = sigma_nm / pitch_nm;
+    // Defocus phase: quadratic in radius, scaled to stay subtle.
+    let phase_coeff = defocus_nm / process.wavelength_nm * 0.5;
 
-    let modes = mode_orders(count);
-    let mut kernels: Vec<OpticalKernel> = modes
+    // The kernels vanish where r² = u² + v² > 40, and r² ≥ u², so only the
+    // grid lines with u² ≤ 40 carry samples. `axis` lists them in
+    // wrap-around (memory) order with their normalised coordinate; the
+    // grid is square, so it serves rows and columns alike.
+    let half = size as isize / 2;
+    let mut axis: Vec<(usize, f64)> = Vec::new();
+    for x in 0..size {
+        // Centered coordinate, then wrap to FFT order.
+        let cx = x as isize - half;
+        let u = cx as f64 / sigma_px;
+        if u * u > 40.0 {
+            continue;
+        }
+        axis.push(((cx.rem_euclid(size as isize)) as usize, u));
+    }
+    axis.sort_unstable_by_key(|&(f, _)| f);
+    let support = || {
+        axis.iter()
+            .flat_map(|&(fy, _)| axis.iter().map(move |&(fx, _)| fy * size + fx))
+    };
+
+    // Envelope and defocus phase of each support pixel, shared by every
+    // mode (`None` outside the r² ≤ 40 disc).
+    let pixels: Vec<Option<(f64, f64, f64)>> = axis
         .iter()
-        .enumerate()
-        .map(|(j, &(m, n))| {
-            let _ = j;
-            let weight = 0.35f64.powi((m + n) as i32);
-            let mut samples = vec![Complex::ZERO; size * size];
-            let half = size as isize / 2;
-            // Defocus phase: quadratic in radius, scaled to stay subtle.
-            let phase_coeff = defocus_nm / process.wavelength_nm * 0.5;
-            for y in 0..size {
-                for x in 0..size {
-                    // Centered coordinates, then wrap to FFT order.
-                    let cy = y as isize - half;
-                    let cx = x as isize - half;
-                    let fy = (cy.rem_euclid(size as isize)) as usize;
-                    let fx = (cx.rem_euclid(size as isize)) as usize;
-                    let u = cx as f64 / sigma_px;
-                    let v = cy as f64 / sigma_px;
-                    let r2 = u * u + v * v;
-                    if r2 > 40.0 {
-                        continue;
-                    }
-                    let env = (-(r2) / 2.0).exp();
-                    let amp = hermite(m, u) * hermite(n, v) * env;
-                    let phase = phase_coeff * r2;
-                    samples[fy * size + fx] =
-                        Complex::new(amp * phase.cos(), amp * phase.sin());
+        .flat_map(|&(_, v)| {
+            axis.iter().map(move |&(_, u)| {
+                let r2 = u * u + v * v;
+                if r2 > 40.0 {
+                    return None;
                 }
-            }
-            // Normalise each mode to unit L2 energy so the geometric
-            // eigenvalue decay in `weight` is meaningful (Hermite
-            // polynomial magnitudes grow factorially with order).
-            let energy: f64 = samples.iter().map(|c| c.norm_sqr()).sum();
-            if energy > 0.0 {
-                let inv = 1.0 / energy.sqrt();
-                for s in &mut samples {
-                    *s = *s * inv;
-                }
-            }
-            OpticalKernel {
-                weight,
-                samples,
-                size,
-            }
+                let env = (-(r2) / 2.0).exp();
+                let phase = phase_coeff * r2;
+                Some((env, phase.cos(), phase.sin()))
+            })
         })
         .collect();
+
+    let modes = mode_orders(count);
+    // `herm[k][i]` is `H_k` at the i-th support coordinate.
+    let max_order = modes.iter().map(|&(m, n)| m.max(n)).max().unwrap_or(0);
+    let herm: Vec<Vec<f64>> = (0..=max_order)
+        .map(|k| axis.iter().map(|&(_, u)| hermite(k, u)).collect())
+        .collect();
+
+    // The modes are independent, so they build in parallel.
+    let mut kernels: Vec<OpticalKernel> = modes
+        .iter()
+        .map(|_| OpticalKernel {
+            weight: 0.0,
+            samples: Vec::new(),
+            size,
+        })
+        .collect();
+    pool::parallel_for_chunks(&mut kernels, 1, |j, slot| {
+        let (m, n) = modes[j];
+        let mut samples = vec![Complex::ZERO; size * size];
+        let (hu, hv) = (&herm[m], &herm[n]);
+        let mut px = pixels.iter();
+        for (iy, &(fy, _)) in axis.iter().enumerate() {
+            for (ix, &(fx, _)) in axis.iter().enumerate() {
+                if let Some(&Some((env, cos, sin))) = px.next() {
+                    let amp = hu[ix] * hv[iy] * env;
+                    samples[fy * size + fx] = Complex::new(amp * cos, amp * sin);
+                }
+            }
+        }
+        // Normalise each mode to unit L2 energy so the geometric
+        // eigenvalue decay in `weight` is meaningful (Hermite polynomial
+        // magnitudes grow factorially with order). Samples off the support
+        // are zero, so the sum and the scaling visit the support only, in
+        // memory order.
+        let energy: f64 = support().map(|i| samples[i].norm_sqr()).sum();
+        if energy > 0.0 {
+            let inv = 1.0 / energy.sqrt();
+            for i in support() {
+                samples[i] = samples[i] * inv;
+            }
+        }
+        slot[0] = OpticalKernel {
+            weight: 0.35f64.powi((m + n) as i32),
+            samples,
+            size,
+        };
+    });
 
     // Normalise: a clear field (transmission 1 everywhere) must image to
     // intensity 1. For kernel j the clear-field amplitude is Σ samples,
@@ -149,10 +191,7 @@ pub fn build_kernels(
     let clear: f64 = kernels
         .iter()
         .map(|k| {
-            let s = k
-                .samples
-                .iter()
-                .fold(Complex::ZERO, |acc, &c| acc + c);
+            let s = support().fold(Complex::ZERO, |acc, i| acc + k.samples[i]);
             k.weight * s.norm_sqr()
         })
         .sum();
@@ -168,6 +207,139 @@ pub fn build_kernels(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The full-grid reference build: every pixel of every mode, with
+    /// `exp`, `cos` and `sin` per mode.
+    fn reference_build_kernels(
+        process: &ProcessConfig,
+        size: usize,
+        pitch_nm: f64,
+        defocus_nm: f64,
+        count: usize,
+    ) -> Vec<OpticalKernel> {
+        let base_sigma_nm = process.rayleigh_nm() / (1.0 + process.sigma) * 0.75;
+        let defocus_broaden = 1.0 + (defocus_nm / process.wavelength_nm).powi(2) * 3.0;
+        let sigma_nm = base_sigma_nm * defocus_broaden;
+        let sigma_px = sigma_nm / pitch_nm;
+        let mut kernels: Vec<OpticalKernel> = mode_orders(count)
+            .iter()
+            .map(|&(m, n)| {
+                let weight = 0.35f64.powi((m + n) as i32);
+                let mut samples = vec![Complex::ZERO; size * size];
+                let half = size as isize / 2;
+                let phase_coeff = defocus_nm / process.wavelength_nm * 0.5;
+                for y in 0..size {
+                    for x in 0..size {
+                        let cy = y as isize - half;
+                        let cx = x as isize - half;
+                        let fy = (cy.rem_euclid(size as isize)) as usize;
+                        let fx = (cx.rem_euclid(size as isize)) as usize;
+                        let u = cx as f64 / sigma_px;
+                        let v = cy as f64 / sigma_px;
+                        let r2 = u * u + v * v;
+                        if r2 > 40.0 {
+                            continue;
+                        }
+                        let env = (-(r2) / 2.0).exp();
+                        let amp = hermite(m, u) * hermite(n, v) * env;
+                        let phase = phase_coeff * r2;
+                        samples[fy * size + fx] =
+                            Complex::new(amp * phase.cos(), amp * phase.sin());
+                    }
+                }
+                let energy: f64 = samples.iter().map(|c| c.norm_sqr()).sum();
+                if energy > 0.0 {
+                    let inv = 1.0 / energy.sqrt();
+                    for s in &mut samples {
+                        *s = *s * inv;
+                    }
+                }
+                OpticalKernel {
+                    weight,
+                    samples,
+                    size,
+                }
+            })
+            .collect();
+        let clear: f64 = kernels
+            .iter()
+            .map(|k| {
+                let s = k.samples.iter().fold(Complex::ZERO, |acc, &c| acc + c);
+                k.weight * s.norm_sqr()
+            })
+            .sum();
+        if clear > 0.0 {
+            let scale = 1.0 / clear;
+            for k in &mut kernels {
+                k.weight *= scale;
+            }
+        }
+        kernels
+    }
+
+    fn kernel_bits(kernels: &[OpticalKernel]) -> Vec<(u64, Vec<(u64, u64)>)> {
+        kernels
+            .iter()
+            .map(|k| {
+                let samples = k.samples.iter().map(|c| (c.re.to_bits(), c.im.to_bits()));
+                (k.weight.to_bits(), samples.collect())
+            })
+            .collect()
+    }
+
+    /// Both presets' focus planes, at grids where the support is cut by
+    /// the grid edge (16), partly (64) and not at all (256).
+    fn planes() -> Vec<(ProcessConfig, usize, f64, f64)> {
+        let mut out = Vec::new();
+        for p in [ProcessConfig::n10(), ProcessConfig::n7()] {
+            for (size, pitch) in [(16, 8.0), (64, 8.0), (64, 16.0), (256, 8.0)] {
+                for &d in &p.focus_stack_nm {
+                    out.push((p.clone(), size, pitch, d));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn support_build_matches_the_full_grid_build_bit_for_bit() {
+        for (p, size, pitch, d) in planes() {
+            let got = build_kernels(&p, size, pitch, d, p.rigorous_kernel_count);
+            let want = reference_build_kernels(&p, size, pitch, d, p.rigorous_kernel_count);
+            assert!(
+                kernel_bits(&got) == kernel_bits(&want),
+                "{} {size} {pitch} {d}",
+                p.name
+            );
+        }
+        // Degenerate grids and a width wider than the grid.
+        let p = ProcessConfig::n10();
+        for (size, pitch) in [(1, 8.0), (2, 8.0), (4, 0.5)] {
+            let got = build_kernels(&p, size, pitch, 20.0, 6);
+            let want = reference_build_kernels(&p, size, pitch, 20.0, 6);
+            assert!(kernel_bits(&got) == kernel_bits(&want), "{size} {pitch}");
+        }
+    }
+
+    #[test]
+    fn opposite_defocus_builds_conjugate_kernels() {
+        for (p, size, pitch, d) in planes() {
+            let plus = build_kernels(&p, size, pitch, d, p.rigorous_kernel_count);
+            let minus = build_kernels(&p, size, pitch, -d, p.rigorous_kernel_count);
+            for (a, b) in plus.iter().zip(&minus) {
+                assert_eq!(a.weight.to_bits(), b.weight.to_bits());
+                // `==` is bitwise equality up to the sign of a zero.
+                assert!(
+                    a.samples
+                        .iter()
+                        .zip(&b.samples)
+                        .all(|(a, b)| a.re == b.re && a.im == -b.im),
+                    "{} {size} {pitch} {d}",
+                    p.name
+                );
+            }
+        }
+    }
 
     #[test]
     fn hermite_low_orders() {

@@ -1,7 +1,7 @@
 use litho_tensor::fft::{fft2_in_place, FftDirection};
-use litho_tensor::{Complex, Result, TensorError};
+use litho_tensor::{pool, Complex, Result, TensorError};
 
-use crate::kernels::{build_kernels, OpticalKernel};
+use crate::kernels::build_kernels;
 use crate::{AerialImage, MaskGrid, ProcessConfig};
 
 /// A partially coherent optical imaging model at a fixed defocus.
@@ -63,16 +63,16 @@ impl OpticalModel {
                 "kernel count must be positive".into(),
             ));
         }
-        let kernels = build_kernels(process, size, pitch_nm, defocus_nm, kernel_count);
-        let spectra = kernels
-            .into_iter()
-            .map(|k: OpticalKernel| {
-                let mut spec = k.samples;
-                fft2_in_place(&mut spec, size, size, FftDirection::Forward)
-                    .expect("size validated as power of two");
-                (k.weight, spec)
-            })
-            .collect();
+        let mut spectra: Vec<(f64, Vec<Complex>)> =
+            build_kernels(process, size, pitch_nm, defocus_nm, kernel_count)
+                .into_iter()
+                .map(|k| (k.weight, k.samples))
+                .collect();
+        // The kernels transform independently, one pool task each.
+        pool::parallel_for_chunks(&mut spectra, 1, |_, slot| {
+            fft2_in_place(&mut slot[0].1, size, size, FftDirection::Forward)
+                .expect("size validated as power of two");
+        });
         Ok(OpticalModel {
             size,
             pitch_nm,
@@ -249,6 +249,28 @@ mod tests {
         let dense_img = model.aerial_image(&dense).unwrap();
         // Intensity at the center contact increases due to the neighbor.
         assert!(dense_img.at(64, 64) > isolated.at(64, 64));
+    }
+
+    /// The kernels at `-d` are the exact conjugates of those at `d`, so a
+    /// real mask images alike through both up to the transforms' rounding.
+    /// The bound is in clear-field units (a clear mask images to 1): the
+    /// images differ by a few ulps per pixel, which for a dim feature is
+    /// more than 1e-15 of its own peak.
+    #[test]
+    fn opposite_defocus_models_image_a_real_mask_alike() {
+        for p in [ProcessConfig::n10(), ProcessConfig::n7()] {
+            let mut mask = contact_mask(256, 8.0, 60.0);
+            mask.fill_rect_nm(1100.0, 980.0, 1160.0, 1040.0, 1.0);
+            mask.fill_rect_nm(900.0, 1150.0, 940.0, 1250.0, 0.7);
+            for &d in &p.focus_stack_nm {
+                let model = |d| OpticalModel::with_settings(&p, 256, 8.0, d, 10).unwrap();
+                let plus = model(d).aerial_image(&mask).unwrap();
+                let minus = model(-d).aerial_image(&mask).unwrap();
+                for (a, b) in plus.as_slice().iter().zip(minus.as_slice()) {
+                    assert!((a - b).abs() <= 1e-15, "{} {d}: {a} vs {b}", p.name);
+                }
+            }
+        }
     }
 
     #[test]

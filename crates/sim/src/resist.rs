@@ -222,36 +222,102 @@ impl ResistModel {
         &self.params
     }
 
-    /// Computes the locally varying development threshold field.
-    pub fn threshold_field(&self, aerial: &AerialImage) -> Vec<f64> {
-        let s = aerial.size();
-        let window_px =
-            ((self.params.env_window_nm / aerial.pitch_nm()).round() as usize).max(1);
-        let env = aerial.envelope(window_px);
-        let mut t = vec![0.0f64; s * s];
-        for y in 0..s {
-            for x in 0..s {
-                t[y * s + x] = self.params.base_threshold
-                    + self.params.env_coeff * env[y * s + x]
-                    + self.params.slope_coeff * aerial.slope_at(y, x);
-            }
-        }
-        t
-    }
-
     /// The development *excess* field `I_diffused - T`: positive where the
     /// resist prints. The zero level set of this field is the resist
     /// contour, and the dataset pipeline upsamples it for sub-pixel-
     /// accurate golden windows.
+    ///
+    /// One pass develops the image:
+    /// - acid diffusion blurs the aerial image with a separable Gaussian
+    ///   of length `diffusion_nm`, taps clamped at the border;
+    /// - the envelope `I_env` is the maximum of the diffused image over a
+    ///   square window of half-width `env_window_nm` (separable);
+    /// - the slope `|∇I|` is the central-difference gradient magnitude of
+    ///   the diffused image (one-sided at the border).
+    ///
+    /// Each filter runs its tap loop outside a loop over pixels, so the
+    /// pixel loop vectorises while every pixel folds its taps in order.
     pub fn excess_field(&self, aerial: &AerialImage) -> Vec<f64> {
-        let diffused = aerial.blurred(self.params.diffusion_nm);
-        let threshold = self.threshold_field(&diffused);
-        diffused
-            .as_slice()
-            .iter()
-            .zip(&threshold)
-            .map(|(&i, &t)| i - t)
-            .collect()
+        let p = &self.params;
+        let s = aerial.size();
+        let pitch = aerial.pitch_nm();
+        if s == 0 {
+            return Vec::new();
+        }
+
+        // Acid diffusion.
+        let sigma_px = p.diffusion_nm / pitch;
+        let mut scratch = vec![0.0f64; s * s];
+        let diffused = if sigma_px < 1e-6 {
+            aerial.as_slice().to_vec()
+        } else {
+            let radius = (sigma_px * 3.0).ceil() as usize;
+            let mut kernel = Vec::with_capacity(2 * radius + 1);
+            let mut norm = 0.0;
+            for i in 0..=2 * radius {
+                let d = i as f64 - radius as f64;
+                let v = (-(d * d) / (2.0 * sigma_px * sigma_px)).exp();
+                kernel.push(v);
+                norm += v;
+            }
+            for v in &mut kernel {
+                *v /= norm;
+            }
+            for (src, dst) in aerial
+                .as_slice()
+                .chunks_exact(s)
+                .zip(scratch.chunks_exact_mut(s))
+            {
+                blur_row(src, dst, &kernel);
+            }
+            let mut out = vec![0.0f64; s * s];
+            for (y, dst) in out.chunks_exact_mut(s).enumerate() {
+                for (i, &k) in kernel.iter().enumerate() {
+                    let yi = (y + i).saturating_sub(radius).min(s - 1);
+                    for (o, &v) in dst.iter_mut().zip(&scratch[yi * s..(yi + 1) * s]) {
+                        *o += k * v;
+                    }
+                }
+            }
+            out
+        };
+
+        // Envelope, horizontal half into `scratch`.
+        let window = ((p.env_window_nm / pitch).round() as usize).max(1);
+        for (src, dst) in diffused.chunks_exact(s).zip(scratch.chunks_exact_mut(s)) {
+            max_row(src, dst, window);
+        }
+
+        let row = |y: usize| &diffused[y * s..(y + 1) * s];
+        let mut env = vec![f64::MIN; s];
+        let mut excess = vec![0.0f64; s * s];
+        for (y, out) in excess.chunks_exact_mut(s).enumerate() {
+            // Envelope, vertical half.
+            env.fill(f64::MIN);
+            for yi in y.saturating_sub(window)..(y + window + 1).min(s) {
+                for (e, &v) in env.iter_mut().zip(&scratch[yi * s..(yi + 1) * s]) {
+                    *e = e.max(v);
+                }
+            }
+            let (ym, yp) = (y.saturating_sub(1), (y + 1).min(s - 1));
+            let (up, mid, down) = (row(ym), row(y), row(yp));
+            let dy_den = (yp - ym).max(1) as f64 * pitch;
+            let develop = |x: usize, dx: f64| {
+                let dy = (down[x] - up[x]) / dy_den;
+                let slope = (dx * dx + dy * dy).sqrt();
+                mid[x] - (p.base_threshold + p.env_coeff * env[x] + p.slope_coeff * slope)
+            };
+            // Border columns take one-sided differences.
+            for x in [0, s - 1] {
+                let (xm, xp) = (x.saturating_sub(1), (x + 1).min(s - 1));
+                out[x] = develop(x, (mid[xp] - mid[xm]) / ((xp - xm).max(1) as f64 * pitch));
+            }
+            let dx_den = 2.0 * pitch;
+            for x in 1..s.saturating_sub(1) {
+                out[x] = develop(x, (mid[x + 1] - mid[x - 1]) / dx_den);
+            }
+        }
+        excess
     }
 
     /// Develops an aerial image into a binary resist pattern: diffuse,
@@ -261,10 +327,58 @@ impl ResistModel {
     }
 }
 
+/// One row of the separable Gaussian blur: `dst[x] = Σ_i k_i · src[x + i - r]`
+/// with the taps folded in order from `0.0` and indices clamped at the
+/// border.
+fn blur_row(src: &[f64], dst: &mut [f64], kernel: &[f64]) {
+    let s = src.len();
+    let radius = kernel.len() / 2;
+    for x in (0..s).filter(|&x| x < radius || x + radius >= s) {
+        let mut acc = 0.0;
+        for (i, &k) in kernel.iter().enumerate() {
+            acc += k * src[(x + i).saturating_sub(radius).min(s - 1)];
+        }
+        dst[x] = acc;
+    }
+    if s > 2 * radius {
+        let inner = &mut dst[radius..s - radius];
+        inner.fill(0.0);
+        for (i, &k) in kernel.iter().enumerate() {
+            for (o, &v) in inner.iter_mut().zip(&src[i..]) {
+                *o += k * v;
+            }
+        }
+    }
+}
+
+/// One row of the separable max filter: `dst[x]` is the maximum of `src`
+/// over `[x - w, x + w]` clipped to the row, folded in order from
+/// `f64::MIN`.
+fn max_row(src: &[f64], dst: &mut [f64], w: usize) {
+    let s = src.len();
+    for x in (0..s).filter(|&x| x < w || x + w >= s) {
+        let mut best = f64::MIN;
+        for &v in &src[x.saturating_sub(w)..(x + w + 1).min(s)] {
+            best = best.max(v);
+        }
+        dst[x] = best;
+    }
+    if s > 2 * w {
+        let inner = &mut dst[w..s - w];
+        inner.fill(f64::MIN);
+        for j in 0..=2 * w {
+            for (o, &v) in inner.iter_mut().zip(&src[j..]) {
+                *o = o.max(v);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MaskGrid, OpticalModel, ProcessConfig};
+    use crate::aerial::reference;
+    use crate::{MaskGrid, OpticalModel, ProcessConfig, ResistParams};
 
     fn develop_contact(contact_nm: f64) -> ResistPattern {
         let p = ProcessConfig::n10();
@@ -357,6 +471,37 @@ mod tests {
         assert!(crop.at(0, 0));
     }
 
+    /// `T = base + env_coeff · I_env + slope_coeff · |∇I|` per pixel, from
+    /// the whole-image envelope and the per-pixel slope.
+    fn reference_threshold_field(params: &ResistParams, img: &AerialImage) -> Vec<f64> {
+        let s = img.size();
+        let window_px = ((params.env_window_nm / img.pitch_nm()).round() as usize).max(1);
+        let env = reference::envelope(img, window_px);
+        let mut t = vec![0.0f64; s * s];
+        for y in 0..s {
+            for x in 0..s {
+                t[y * s + x] = params.base_threshold
+                    + params.env_coeff * env[y * s + x]
+                    + params.slope_coeff * reference::slope_at(img, y, x);
+            }
+        }
+        t
+    }
+
+    /// The development chain that [`ResistModel::excess_field`] fuses, one
+    /// whole-image stage at a time: blur, then the threshold of the
+    /// blurred image.
+    fn reference_excess_field(params: &ResistParams, img: &AerialImage) -> Vec<f64> {
+        let diffused = reference::blurred(img, params.diffusion_nm);
+        let threshold = reference_threshold_field(params, &diffused);
+        diffused
+            .as_slice()
+            .iter()
+            .zip(&threshold)
+            .map(|(&i, &t)| i - t)
+            .collect()
+    }
+
     #[test]
     fn threshold_field_rises_near_bright_features() {
         let p = ProcessConfig::n10();
@@ -364,10 +509,56 @@ mod tests {
         let mut mask = MaskGrid::new(64, 8.0);
         mask.fill_rect_nm(220.0, 220.0, 292.0, 292.0, 1.0);
         let aerial = model.aerial_image(&mask).unwrap();
-        let resist = ResistModel::new(p.resist);
-        let t = resist.threshold_field(&aerial);
+        let t = reference_threshold_field(&p.resist, &aerial);
         // Threshold near the feature exceeds the dark-corner threshold.
         assert!(t[32 * 64 + 32] > t[4 * 64 + 4]);
         assert!((t[4 * 64 + 4] - p.resist.base_threshold).abs() < 1e-6);
+    }
+
+    fn assert_fused_matches_reference(params: &ResistParams, img: &AerialImage, what: &str) {
+        let got = ResistModel::new(*params).excess_field(img);
+        let want = reference_excess_field(params, img);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(bits(&got) == bits(&want), "{what}");
+    }
+
+    #[test]
+    fn fused_development_matches_the_staged_chain_on_aerial_images() {
+        for p in [ProcessConfig::n10(), ProcessConfig::n7()] {
+            for (size, pitch) in [(16, 8.0), (64, 8.0), (64, 16.0), (256, 8.0)] {
+                for &d in &p.focus_stack_nm {
+                    let model = OpticalModel::with_settings(&p, size, pitch, d, 4).unwrap();
+                    let mut mask = MaskGrid::new(size, pitch);
+                    let c = size as f64 * pitch / 2.0;
+                    mask.fill_rect_nm(c - 40.0, c - 30.0, c + 40.0, c + 30.0, 1.0);
+                    mask.fill_rect_nm(c + 60.0, c - 30.0, c + 120.0, c + 30.0, 1.0);
+                    let aerial = model.aerial_image(&mask).unwrap();
+                    let what = format!("{} {size} {pitch} {d}", p.name);
+                    assert_fused_matches_reference(&p.resist, &aerial, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_development_matches_the_staged_chain_on_random_images() {
+        use litho_tensor::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0xDE7E_0001);
+        let mut params = ProcessConfig::n10().resist;
+        for size in [0, 1, 2, 3, 5, 16, 64, 256] {
+            for pitch in [2.0, 8.0, 16.0] {
+                // Coarse levels make the max filter see many ties.
+                let levels = rng.gen_range(2u32..6) as f64;
+                let data = (0..size * size)
+                    .map(|_| (rng.gen_range(0.0f64..1.0) * levels).floor() / levels)
+                    .collect();
+                let img = AerialImage::from_raw(data, size, pitch).unwrap();
+                for diffusion_nm in [0.0, 5.0, 10.0, 40.0] {
+                    params.diffusion_nm = diffusion_nm;
+                    let what = format!("{size} {pitch} {diffusion_nm}");
+                    assert_fused_matches_reference(&params, &img, &what);
+                }
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
 use std::time::{Duration, Instant};
 
-use litho_tensor::{pool, Result};
+use litho_tensor::{Result, TensorError};
 
 use crate::optical::mask_spectrum;
 use crate::{AerialImage, Contour, MaskGrid, OpticalModel, ProcessConfig, ResistModel, ResistPattern};
@@ -42,39 +42,71 @@ impl SimReport {
 pub struct RigorousSim {
     process: ProcessConfig,
     resist: ResistModel,
+    /// One model per distinct plane of the focus stack.
     models: Vec<OpticalModel>,
+    /// `planes[i]` indexes the model that images focus-stack entry `i`.
+    planes: Vec<usize>,
 }
 
 impl RigorousSim {
     /// Builds the simulator for a process on a `size × size` grid with
     /// physical `pitch_nm` per pixel.
     ///
+    /// The SOCS kernels at defocus `-d` are the exact conjugates of those
+    /// at `d`, and a real mask images to the same intensity through
+    /// conjugate kernels. So the planes `±d` share one model, built at
+    /// whichever comes first in the stack; the shared image matches a
+    /// separately built `-d` model to rounding (within 1e-15 of the
+    /// clear-field intensity).
+    ///
     /// # Errors
     ///
-    /// Propagates optical-model construction errors (non-power-of-two
-    /// grid, bad pitch).
+    /// Returns [`TensorError::InvalidArgument`] for an empty focus stack or
+    /// a non-finite defocus, and propagates optical-model construction
+    /// errors (non-power-of-two grid, bad pitch).
     pub fn new(process: &ProcessConfig, size: usize, pitch_nm: f64) -> Result<Self> {
-        // The focus planes' models are independent, so they build in
-        // parallel (their kernel transforms then run inline).
         let stack = &process.focus_stack_nm;
-        let mut models: Vec<Option<Result<OpticalModel>>> = stack.iter().map(|_| None).collect();
-        pool::parallel_for_chunks(&mut models, 1, |k, slot| {
-            slot[0] = Some(OpticalModel::with_settings(
-                process,
-                size,
-                pitch_nm,
-                stack[k],
-                process.rigorous_kernel_count,
+        if stack.is_empty() {
+            return Err(TensorError::InvalidArgument(
+                "the focus stack is empty".into(),
             ));
-        });
-        let models = models
-            .into_iter()
-            .map(|m| m.expect("every focus plane's task fills its slot"))
+        }
+        if let Some(d) = stack.iter().find(|d| !d.is_finite()) {
+            return Err(TensorError::InvalidArgument(format!(
+                "focus-stack defocus {d} is not finite"
+            )));
+        }
+        let mut distinct: Vec<f64> = Vec::new();
+        let planes = stack
+            .iter()
+            .map(|&d| {
+                distinct
+                    .iter()
+                    .position(|e| e.abs() == d.abs())
+                    .unwrap_or_else(|| {
+                        distinct.push(d);
+                        distinct.len() - 1
+                    })
+            })
+            .collect();
+        // Each model spreads its kernels over the pool.
+        let models = distinct
+            .iter()
+            .map(|&d| {
+                OpticalModel::with_settings(
+                    process,
+                    size,
+                    pitch_nm,
+                    d,
+                    process.rigorous_kernel_count,
+                )
+            })
             .collect::<Result<Vec<_>>>()?;
         Ok(RigorousSim {
             process: process.clone(),
             resist: ResistModel::new(process.resist),
             models,
+            planes,
         })
     }
 
@@ -95,20 +127,20 @@ impl RigorousSim {
 
         let t0 = Instant::now();
         let span = litho_telemetry::span("optical");
-        // One forward transform of the mask, imaged through every focus
-        // model of the stack.
+        // One forward transform of the mask, imaged once through each
+        // distinct model, then averaged over the stack in stack order.
         for m in &self.models {
             m.check_grid(mask)?;
         }
         let spectrum = mask_spectrum(mask)?;
-        let stack: Vec<AerialImage> = self
+        let images: Vec<AerialImage> = self
             .models
             .iter()
             .map(|m| m.image_spectrum(&spectrum))
             .collect::<Result<Vec<_>>>()?;
         drop(span);
         let span = litho_telemetry::span("aerial");
-        let aerial = AerialImage::average(&stack)?;
+        let aerial = AerialImage::average(self.planes.iter().map(|&k| &images[k]))?;
         drop(span);
         let optical_time = t0.elapsed();
 
@@ -206,26 +238,94 @@ mod tests {
         );
     }
 
+    fn bits(img: &AerialImage) -> Vec<u64> {
+        img.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A mask with a contact and an off-centre neighbour, so no plane's
+    /// image is symmetric.
+    fn two_contact_mask() -> MaskGrid {
+        let mut mask = center_contact_mask(64, 16.0, 96.0);
+        mask.fill_rect_nm(300.0, 500.0, 380.0, 580.0, 1.0);
+        mask
+    }
+
     #[test]
     fn shared_spectrum_images_like_each_focus_model() {
         let p = ProcessConfig::n10();
         let sim = RigorousSim::new(&p, 64, 16.0).unwrap();
-        let mut mask = center_contact_mask(64, 16.0, 96.0);
-        mask.fill_rect_nm(300.0, 500.0, 380.0, 580.0, 1.0);
+        let mask = two_contact_mask();
         let (_, report) = sim.simulate(&mask).unwrap();
         let stack: Vec<AerialImage> = sim
-            .models
+            .planes
             .iter()
-            .map(|m| m.aerial_image(&mask).unwrap())
+            .map(|&k| sim.models[k].aerial_image(&mask).unwrap())
             .collect();
         let want = AerialImage::average(&stack).unwrap();
-        let bits = |img: &AerialImage| {
-            img.as_slice()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
-        };
         assert_eq!(bits(&report.aerial), bits(&want));
+    }
+
+    #[test]
+    fn opposite_defocus_planes_share_a_model() {
+        for p in [ProcessConfig::n10(), ProcessConfig::n7()] {
+            let sim = RigorousSim::new(&p, 64, 16.0).unwrap();
+            assert_eq!(sim.models.len(), 3, "{}", p.name);
+            assert_eq!(sim.planes, vec![0, 1, 2, 1, 0], "{}", p.name);
+        }
+    }
+
+    /// The stack-averaged image of `mask` with a model built separately
+    /// for every plane.
+    fn per_plane_average(p: &ProcessConfig, mask: &MaskGrid) -> AerialImage {
+        let stack: Vec<AerialImage> = p
+            .focus_stack_nm
+            .iter()
+            .map(|&d| {
+                OpticalModel::with_settings(p, 64, 16.0, d, p.rigorous_kernel_count)
+                    .unwrap()
+                    .aerial_image(mask)
+                    .unwrap()
+            })
+            .collect();
+        AerialImage::average(&stack).unwrap()
+    }
+
+    #[test]
+    fn shared_planes_image_like_separate_models() {
+        let mask = two_contact_mask();
+        for stack in [
+            vec![0.0, 20.0],
+            vec![20.0, 20.0, 0.0],
+            vec![-20.0, 20.0, -20.0],
+        ] {
+            let mut p = ProcessConfig::n10();
+            p.focus_stack_nm = stack.clone();
+            let sim = RigorousSim::new(&p, 64, 16.0).unwrap();
+            let (_, report) = sim.simulate(&mask).unwrap();
+            let want = per_plane_average(&p, &mask);
+            if stack.iter().all(|&d| d >= 0.0) {
+                // No plane is imaged through its mirror's model.
+                assert_eq!(bits(&report.aerial), bits(&want), "{stack:?}");
+            } else {
+                // Within rounding, in clear-field units (see the optical
+                // model's `opposite_defocus_models_image_a_real_mask_alike`).
+                for (a, b) in report.aerial.as_slice().iter().zip(want.as_slice()) {
+                    assert!((a - b).abs() <= 1e-15, "{stack:?}: {a} vs {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn new_rejects_an_empty_or_non_finite_focus_stack() {
+        for stack in [vec![], vec![0.0, f64::NAN], vec![f64::INFINITY]] {
+            let mut p = ProcessConfig::n10();
+            p.focus_stack_nm = stack;
+            assert!(matches!(
+                RigorousSim::new(&p, 64, 16.0),
+                Err(TensorError::InvalidArgument(_))
+            ));
+        }
     }
 
     #[test]
