@@ -7,21 +7,23 @@
 //! Flags: `--samples=N`, `--min-sample-ms=N`, `--quick`, `--trace`,
 //! `--metrics-out FILE`.
 
+use std::process::ExitCode;
+
 use litho_sim::RigorousSim;
 use litho_tensor::Tensor;
 use lithogan::{LithoGan, NetConfig};
 use lithogan_bench::microbench::{fmt_duration, MicroBench};
-use lithogan_bench::{dataset, finish_telemetry, Node, Scale};
+use lithogan_bench::{dataset, Node, Scale};
 
-fn main() {
+fn main() -> ExitCode {
+    lithogan_bench::run_microbench("inference", bench)
+}
+
+fn bench() {
     let scale = Scale::quick();
-    lithogan_bench::init_telemetry_from_args(&[(
-        "bench",
-        litho_telemetry::Value::Str("inference".into()),
-    )]);
     let mb = MicroBench::from_args();
 
-    let ds = dataset(Node::N10, &scale).expect("dataset");
+    let ds = dataset(Node::N10, &scale, &mut None).expect("dataset");
     let sample = &ds.samples[0];
     let grid = ds.config.sim_grid;
 
@@ -69,6 +71,4 @@ fn main() {
         fmt_duration(off.min),
         fmt_duration(on.min),
     );
-
-    finish_telemetry();
 }

@@ -5,6 +5,8 @@
 //! `--metrics-out FILE`, `--json-out FILE` (merge medians into a
 //! `BENCH_KERNELS.json` for the `perf_gate` bin).
 
+use std::process::ExitCode;
+
 use litho_tensor::rng::{Rng, SeedableRng};
 
 use litho_nn::{Conv2d, ConvTranspose2d, Layer, Phase};
@@ -162,11 +164,11 @@ fn bench_fft(mb: &MicroBench) {
     }
 }
 
-fn main() {
-    lithogan_bench::init_telemetry_from_args(&[(
-        "bench",
-        litho_telemetry::Value::Str("nn_kernels".into()),
-    )]);
+fn main() -> ExitCode {
+    lithogan_bench::run_microbench("nn_kernels", bench)
+}
+
+fn bench() {
     let mb = MicroBench::from_args();
     bench_matmul(&mb);
     bench_conv(&mb);
@@ -175,5 +177,4 @@ fn main() {
     bench_batchnorm(&mb);
     bench_fft(&mb);
     mb.flush_json().expect("writing --json-out");
-    lithogan_bench::finish_telemetry();
 }

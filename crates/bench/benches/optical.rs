@@ -6,6 +6,8 @@
 //! Flags: `--samples=N`, `--min-sample-ms=N`, `--quick`, `--trace`,
 //! `--metrics-out FILE`.
 
+use std::process::ExitCode;
+
 use litho_sim::{MaskGrid, OpticalModel, ProcessConfig, ResistModel, RigorousSim};
 use lithogan_bench::microbench::MicroBench;
 
@@ -65,14 +67,13 @@ fn bench_resist(mb: &MicroBench) {
     });
 }
 
-fn main() {
-    lithogan_bench::init_telemetry_from_args(&[(
-        "bench",
-        litho_telemetry::Value::Str("optical".into()),
-    )]);
+fn main() -> ExitCode {
+    lithogan_bench::run_microbench("optical", bench)
+}
+
+fn bench() {
     let mb = MicroBench::from_args();
     bench_aerial(&mb);
     bench_rigorous_vs_compact(&mb);
     bench_resist(&mb);
-    lithogan_bench::finish_telemetry();
 }

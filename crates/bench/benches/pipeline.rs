@@ -6,6 +6,8 @@
 //! `--metrics-out FILE`, `--json-out FILE` (merge medians into a
 //! `BENCH_KERNELS.json` for the `perf_gate` bin).
 
+use std::process::ExitCode;
+
 use litho_tensor::rng::SeedableRng;
 
 use litho_layout::{
@@ -15,11 +17,11 @@ use litho_layout::{
 use litho_sim::ProcessConfig;
 use lithogan_bench::microbench::MicroBench;
 
-fn main() {
-    lithogan_bench::init_telemetry_from_args(&[(
-        "bench",
-        litho_telemetry::Value::Str("pipeline".into()),
-    )]);
+fn main() -> ExitCode {
+    lithogan_bench::run_microbench("pipeline", bench)
+}
+
+fn bench() {
     let mb = MicroBench::from_args();
 
     let process = ProcessConfig::n10();
@@ -50,5 +52,4 @@ fn main() {
     });
 
     mb.flush_json().expect("writing --json-out");
-    lithogan_bench::finish_telemetry();
 }

@@ -10,9 +10,12 @@
 //!
 //! Run: `cargo run --release -p lithogan-bench --bin ablate [--quick|--paper]`
 
+use std::process::ExitCode;
+
+use litho_ledger::RunLedger;
 use litho_tensor::{Result, Tensor};
 use lithogan::{Cgan, LithoGan, ReconLoss, TrainConfig, TrainPair};
-use lithogan_bench::{dataset, evaluate, Node, Scale};
+use lithogan_bench::{dataset, evaluate, run_experiment, Node, Scale};
 
 /// Collapses the RGB object-class encoding into a flat "every shape is
 /// the same color" mask replicated on all three channels.
@@ -33,10 +36,13 @@ fn collapse_colors(mask: &Tensor) -> Result<Tensor> {
     Tensor::from_vec(out, &[3, s, s])
 }
 
-fn main() -> Result<()> {
-    let scale = Scale::from_args();
+fn main() -> ExitCode {
+    run_experiment(run)
+}
+
+fn run(scale: &Scale, ledger: &mut Option<RunLedger>) -> Result<()> {
     println!("# Ablation studies — scale: {}", scale.label);
-    let ds = dataset(Node::N10, &scale)?;
+    let ds = dataset(Node::N10, scale, ledger)?;
     let (train, test) = ds.split();
     let nmpp = ds.config.golden_nm_per_px();
     let net = scale.net_config();
@@ -119,6 +125,5 @@ fn main() -> Result<()> {
         println!("CGAN:     EDE {:.2} nm, centre error {:.2} nm", cg.ede_mean_nm, cg.center_error_nm);
         println!("LithoGAN: EDE {:.2} nm, centre error {:.2} nm", lg.ede_mean_nm, lg.center_error_nm);
     }
-    lithogan_bench::finish_telemetry();
     Ok(())
 }

@@ -6,26 +6,32 @@
 //!
 //! Run: `cargo run --release -p lithogan-bench --bin fig6 [--quick|--paper]`
 
+use std::process::ExitCode;
+
 use litho_layout::image::{overlay_panel, write_ppm};
 use litho_layout::ClipFamily;
+use litho_ledger::RunLedger;
 use litho_tensor::{Result, Tensor};
-use lithogan_bench::{dataset, out_dir, train_all, Node, Scale};
+use lithogan_bench::{dataset, out_dir, run_experiment, train_all, Node, Scale};
 
 fn binarize(image: &Tensor) -> Tensor {
     image.map(|v| if v >= 0.5 { 1.0 } else { 0.0 })
 }
 
-fn main() -> Result<()> {
-    let scale = Scale::from_args();
+fn main() -> ExitCode {
+    run_experiment(run)
+}
+
+fn run(scale: &Scale, ledger: &mut Option<RunLedger>) -> Result<()> {
     let dir = out_dir().join("fig6");
     std::fs::create_dir_all(&dir)
         .map_err(|e| litho_tensor::TensorError::InvalidArgument(e.to_string()))?;
     println!("# Figure 6 reproduction — scale: {} -> {}", scale.label, dir.display());
 
     let node = Node::N10;
-    let ds = dataset(node, &scale)?;
+    let ds = dataset(node, scale, ledger)?;
     let (_, test) = ds.split();
-    let mut trained = train_all(&ds, &scale, 0)?;
+    let mut trained = train_all(&ds, scale, 0)?;
 
     // One sample per family (plus a second Array2d like the paper's 4 rows).
     let mut picks = Vec::new();
@@ -65,6 +71,5 @@ fn main() -> Result<()> {
         );
     }
     println!("wrote {} panels to {}", picks.len() * 3, dir.display());
-    lithogan_bench::finish_telemetry();
     Ok(())
 }

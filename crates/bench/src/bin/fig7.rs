@@ -6,20 +6,25 @@
 //! Run: `cargo run --release -p lithogan-bench --bin fig7 [--quick|--paper]`
 
 use std::io::Write;
+use std::process::ExitCode;
 
+use litho_ledger::RunLedger;
 use litho_metrics::Histogram;
 use litho_tensor::Result;
-use lithogan_bench::{dataset, evaluate, out_dir, train_all, Node, Scale};
+use lithogan_bench::{dataset, evaluate, out_dir, run_experiment, train_all, Node, Scale};
 
-fn main() -> Result<()> {
-    let scale = Scale::from_args();
+fn main() -> ExitCode {
+    run_experiment(run)
+}
+
+fn run(scale: &Scale, ledger: &mut Option<RunLedger>) -> Result<()> {
     println!("# Figure 7 reproduction — scale: {}", scale.label);
 
     let node = Node::N10;
-    let ds = dataset(node, &scale)?;
+    let ds = dataset(node, scale, ledger)?;
     let (_, test) = ds.split();
     let nmpp = ds.config.golden_nm_per_px();
-    let mut trained = train_all(&ds, &scale, 0)?;
+    let mut trained = train_all(&ds, scale, 0)?;
 
     let (_, cgan_ede) = evaluate(&test, nmpp, |s| trained.cgan.predict(&s.mask))?;
     let (_, lg_ede) = evaluate(&test, nmpp, |s| trained.lithogan.predict(&s.mask))?;
@@ -59,6 +64,5 @@ fn main() -> Result<()> {
             .map_err(|e| litho_tensor::TensorError::InvalidArgument(e.to_string()))?;
     }
     println!("wrote {}", csv.display());
-    lithogan_bench::finish_telemetry();
     Ok(())
 }

@@ -5,10 +5,13 @@
 //!
 //! Run: `cargo run --release -p lithogan-bench --bin fig8 [--quick|--paper]`
 
+use std::process::ExitCode;
+
 use litho_layout::image::{overlay_panel, write_ppm};
+use litho_ledger::RunLedger;
 use litho_tensor::Result;
 use lithogan::{LithoGan, TrainConfig};
-use lithogan_bench::{dataset, out_dir, Node, Scale};
+use lithogan_bench::{dataset, out_dir, run_experiment, Node, Scale};
 
 /// The paper's snapshot epochs, rescaled from its 80-epoch budget.
 fn snapshot_epochs(total: usize) -> Vec<usize> {
@@ -21,14 +24,17 @@ fn snapshot_epochs(total: usize) -> Vec<usize> {
     out
 }
 
-fn main() -> Result<()> {
-    let scale = Scale::from_args();
+fn main() -> ExitCode {
+    run_experiment(run)
+}
+
+fn run(scale: &Scale, ledger: &mut Option<RunLedger>) -> Result<()> {
     let dir = out_dir().join("fig8");
     std::fs::create_dir_all(&dir)
         .map_err(|e| litho_tensor::TensorError::InvalidArgument(e.to_string()))?;
     println!("# Figure 8 reproduction — scale: {} -> {}", scale.label, dir.display());
 
-    let ds = dataset(Node::N10, &scale)?;
+    let ds = dataset(Node::N10, scale, ledger)?;
     let (train, test) = ds.split();
     let samples: Vec<_> = test.iter().take(2).copied().collect();
     let snaps = snapshot_epochs(scale.epochs);
@@ -68,6 +74,5 @@ fn main() -> Result<()> {
         write_ppm(&s.mask, dir.join(format!("row{row}_input.ppm")))?;
     }
     println!("wrote snapshots for {} samples to {}", samples.len(), dir.display());
-    lithogan_bench::finish_telemetry();
     Ok(())
 }

@@ -5,10 +5,12 @@
 //! Run: `cargo run --release -p lithogan-bench --bin fig9 [--quick|--paper]`
 
 use std::io::Write;
+use std::process::ExitCode;
 
+use litho_ledger::RunLedger;
 use litho_tensor::Result;
 use lithogan::{LithoGan, TrainPair};
-use lithogan_bench::{dataset, out_dir, Node, Scale};
+use lithogan_bench::{dataset, out_dir, run_experiment, Node, Scale};
 
 fn ascii_series(label: &str, values: &[f32], width: usize) {
     let max = values.iter().copied().fold(f32::MIN, f32::max).max(1e-6);
@@ -19,11 +21,14 @@ fn ascii_series(label: &str, values: &[f32], width: usize) {
     }
 }
 
-fn main() -> Result<()> {
-    let scale = Scale::from_args();
+fn main() -> ExitCode {
+    run_experiment(run)
+}
+
+fn run(scale: &Scale, ledger: &mut Option<RunLedger>) -> Result<()> {
     println!("# Figure 9 reproduction — scale: {}", scale.label);
 
-    let ds = dataset(Node::N10, &scale)?;
+    let ds = dataset(Node::N10, scale, ledger)?;
     let (train, _) = ds.split();
     let net = scale.net_config();
     let cfg = scale.train_config(0);
@@ -49,6 +54,5 @@ fn main() -> Result<()> {
     }
     println!("wrote {}", csv.display());
     println!("(paper: generator loss decays and flattens after ~50/80 epochs; discriminator stays low)");
-    lithogan_bench::finish_telemetry();
     Ok(())
 }

@@ -5,9 +5,14 @@
 //!
 //! Run: `cargo run --release -p lithogan-bench --bin table3 [--quick|--paper]`
 
+use std::process::ExitCode;
+
+use litho_ledger::RunLedger;
 use litho_metrics::MetricSummary;
 use litho_tensor::Result;
-use lithogan_bench::{dataset, evaluate, format_row, table3_header, train_all, Node, Scale};
+use lithogan_bench::{
+    dataset, evaluate, format_row, run_experiment, table3_header, train_all, Node, Scale,
+};
 
 fn mean_summary(list: &[MetricSummary]) -> MetricSummary {
     let n = list.len().max(1) as f64;
@@ -35,20 +40,23 @@ fn mean_summary(list: &[MetricSummary]) -> MetricSummary {
     }
 }
 
-fn main() -> Result<()> {
-    let scale = Scale::from_args();
+fn main() -> ExitCode {
+    run_experiment(run)
+}
+
+fn run(scale: &Scale, ledger: &mut Option<RunLedger>) -> Result<()> {
     println!("# Table 3 reproduction — scale: {}", scale.label);
     println!("{}", table3_header());
 
     for node in Node::ALL {
-        let ds = dataset(node, &scale)?;
+        let ds = dataset(node, scale, ledger)?;
         let (_, test) = ds.split();
         let nmpp = ds.config.golden_nm_per_px();
 
         let mut rows: [Vec<MetricSummary>; 3] = Default::default();
         let mut center_err_nm = Vec::new();
         for seed in 0..scale.seeds as u64 {
-            let mut trained = train_all(&ds, &scale, seed)?;
+            let mut trained = train_all(&ds, scale, seed)?;
 
             let (baseline_summary, _) =
                 evaluate(&test, nmpp, |s| Ok(trained.baseline.predict(s)?.image))?;
@@ -83,6 +91,5 @@ fn main() -> Result<()> {
     println!("Paper Table 3 (for shape comparison):");
     println!("  N10  Ref[12] 0.67/0.55 0.98 0.99 0.98 | CGAN 1.52/0.95 0.96 0.97 0.94 | LithoGAN 1.08/0.88 0.97 0.98 0.96");
     println!("  N7   Ref[12] 0.55/0.53 0.99 0.99 0.98 | CGAN 1.21/0.77 0.98 0.98 0.96 | LithoGAN 0.88/0.67 0.99 0.99 0.97");
-    lithogan_bench::finish_telemetry();
     Ok(())
 }

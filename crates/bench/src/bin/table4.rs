@@ -9,11 +9,13 @@
 //!
 //! Run: `cargo run --release -p lithogan-bench --bin table4 [--quick|--paper]`
 
+use std::process::ExitCode;
 use std::time::Duration;
 
+use litho_ledger::RunLedger;
 use litho_sim::RigorousSim;
 use litho_tensor::Result;
-use lithogan_bench::{dataset, train_all, Node, Scale};
+use lithogan_bench::{dataset, run_experiment, train_all, Node, Scale};
 
 fn fmt(d: Duration) -> String {
     if d.as_secs() >= 60 {
@@ -25,14 +27,17 @@ fn fmt(d: Duration) -> String {
     }
 }
 
-fn main() -> Result<()> {
-    let scale = Scale::from_args();
+fn main() -> ExitCode {
+    run_experiment(run)
+}
+
+fn run(scale: &Scale, ledger: &mut Option<RunLedger>) -> Result<()> {
     println!("# Table 4 reproduction — scale: {}", scale.label);
 
     for node in Node::ALL {
-        let ds = dataset(node, &scale)?;
+        let ds = dataset(node, scale, ledger)?;
         let (_, test) = ds.split();
-        let mut trained = train_all(&ds, &scale, 0)?;
+        let mut trained = train_all(&ds, scale, 0)?;
 
         // Rigorous simulation over the test set.
         let sim = RigorousSim::new(
@@ -85,6 +90,5 @@ fn main() -> Result<()> {
     }
     println!();
     println!("Paper Table 4: rigorous >15 h (~1800x), Ref[12] 80m+8s+15m (~190x), LithoGAN 30 s (1x)");
-    lithogan_bench::finish_telemetry();
     Ok(())
 }

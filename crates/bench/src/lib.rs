@@ -3,11 +3,14 @@
 //! Every binary in `src/bin/` regenerates one artifact of the paper's
 //! evaluation (see DESIGN.md §4 for the index). They share:
 //!
+//! * [`run_experiment`] — the binary's `main`: the global flags and run
+//!   lifecycle of `lithogan_cli` ([`lithogan::cli`]) around the body.
 //! * [`Scale`] — the experiment scale (clip count, image size, epochs,
 //!   seed repetitions), parsed from CLI flags: `--quick` for smoke runs,
 //!   `--paper` for the full published scale (CPU-days; see DESIGN.md's
 //!   substitution table), default otherwise.
-//! * [`dataset`] — cached dataset generation per node.
+//! * [`dataset`] — cached dataset generation per node, recorded in the
+//!   run's manifest.
 //! * [`train_all`] / [`Trained`] — the three models of Table 3 (Ref \[12\]
 //!   baseline, CGAN, LithoGAN) trained on the same split.
 //! * [`evaluate`] — [`MetricAccumulator`]-based scoring of a method.
@@ -15,14 +18,14 @@
 pub mod microbench;
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::process::ExitCode;
 
 use litho_dataset::{generate, load_dataset, save_dataset, Dataset, DatasetConfig, Sample};
-use litho_ledger::{fingerprint_file, DatasetInfo, RunLedger};
+use litho_ledger::RunLedger;
 use litho_metrics::{MetricAccumulator, MetricSummary};
 use litho_sim::ProcessConfig;
-use litho_tensor::{Result, Tensor};
+use litho_tensor::{Result, Tensor, TensorError};
+use lithogan::cli::{record_dataset, RunRecord};
 use lithogan::{Cgan, LithoGan, NetConfig, ThresholdBaseline, TrainConfig, TrainPair};
 
 /// A benchmark node.
@@ -119,41 +122,56 @@ impl Scale {
         }
     }
 
-    /// Parses `--quick` / `--paper` / `--seeds=N` / `--epochs=N` /
-    /// `--clips=N` from the process arguments; default is
-    /// [`Scale::standard`]. Also opens a run ledger under `runs/` (opt
-    /// out with `--no-run`, relocate with `--runs-root=DIR`) and honours
-    /// the observability flags (`--trace`, `--metrics-out FILE`) via
-    /// [`init_telemetry_from_args`], so every experiment binary gets them
-    /// for free — pair with a [`finish_telemetry`] call at the end of
-    /// `main`.
-    pub fn from_args() -> Self {
+    /// Parses the scale flags `--quick`, `--paper`, `--seeds=N`,
+    /// `--epochs=N` and `--clips=N`, left to right, over
+    /// [`Scale::standard`].
+    ///
+    /// # Errors
+    ///
+    /// Any other argument, or a count that is not one; the error names
+    /// the argument.
+    pub fn from_args(args: &[String]) -> Result<Self> {
         let mut scale = Scale::standard();
-        let mut runs_root = "runs".to_string();
-        let mut no_run = false;
-        for arg in std::env::args().skip(1) {
-            match arg.as_str() {
-                "--quick" => scale = Scale::quick(),
-                "--paper" => scale = Scale::paper(),
-                "--no-run" => no_run = true,
-                other => {
-                    if let Some(v) = other.strip_prefix("--seeds=") {
-                        scale.seeds = v.parse().expect("--seeds=N");
-                    } else if let Some(v) = other.strip_prefix("--epochs=") {
-                        scale.epochs = v.parse().expect("--epochs=N");
-                    } else if let Some(v) = other.strip_prefix("--clips=") {
-                        scale.clip_count = Some(v.parse().expect("--clips=N"));
-                    } else if let Some(v) = other.strip_prefix("--runs-root=") {
-                        runs_root = v.to_string();
-                    }
+        for arg in args {
+            let (name, value) = arg
+                .split_once('=')
+                .map_or((arg.as_str(), None), |(n, v)| (n, Some(v)));
+            let count = |v: &str| -> Result<usize> {
+                v.parse()
+                    .map_err(|_| bad(format!("{name}: expected a count, got {v:?}")))
+            };
+            match (name, value) {
+                ("--quick", None) => scale = Scale::quick(),
+                ("--paper", None) => scale = Scale::paper(),
+                ("--seeds", Some(v)) => scale.seeds = count(v)?,
+                ("--epochs", Some(v)) => scale.epochs = count(v)?,
+                ("--clips", Some(v)) => scale.clip_count = Some(count(v)?),
+                _ => {
+                    return Err(bad(format!(
+                        "unknown flag {arg:?} (scale flags: --quick, --paper, --seeds=N, \
+                         --epochs=N, --clips=N)"
+                    )))
                 }
             }
         }
-        if !no_run {
-            open_run_ledger(&runs_root, &scale);
-        }
-        init_telemetry_from_args(&[("scale", litho_telemetry::Value::Str(scale.label.clone()))]);
-        scale
+        Ok(scale)
+    }
+
+    /// The run manifest's config pairs for this scale.
+    fn config_pairs(&self) -> Vec<(String, String)> {
+        let clips = self
+            .clip_count
+            .map_or_else(|| "paper".to_string(), |c| c.to_string());
+        [
+            ("scale", self.label.clone()),
+            ("clips", clips),
+            ("size", self.image_size.to_string()),
+            ("epochs", self.epochs.to_string()),
+            ("seeds", self.seeds.to_string()),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect()
     }
 
     /// Dataset configuration for a node at this scale.
@@ -164,11 +182,7 @@ impl Scale {
 
     /// Network configuration at this scale.
     pub fn net_config(&self) -> NetConfig {
-        if self.image_size == 256 {
-            NetConfig::paper()
-        } else {
-            NetConfig::scaled(self.image_size)
-        }
+        NetConfig::for_size(self.image_size)
     }
 
     /// Training configuration at this scale, for seed repetition `seed`.
@@ -181,103 +195,53 @@ impl Scale {
     }
 }
 
-static TRACE_REQUESTED: AtomicBool = AtomicBool::new(false);
-static RUN_LEDGER: Mutex<Option<RunLedger>> = Mutex::new(None);
-
-/// The experiment's run ledger, opened by [`Scale::from_args`] (absent
-/// under `--no-run` or if creation failed). Binaries may lock it to
-/// attach dataset identity or append per-sample records.
-pub fn run_ledger() -> &'static Mutex<Option<RunLedger>> {
-    &RUN_LEDGER
+fn bad(msg: impl Into<String>) -> TensorError {
+    TensorError::InvalidArgument(msg.into())
 }
 
-/// Opens the run ledger for this bench invocation: manifest under
-/// `<root>/<bin>-<unix>-<pid>/` with the scale as config. Failure is
-/// non-fatal (benches still run without a ledger).
-fn open_run_ledger(root: &str, scale: &Scale) {
-    let bin = std::env::args()
+/// This process's executable name, which names its runs.
+fn bin_name() -> String {
+    std::env::args()
         .next()
         .as_deref()
         .map(Path::new)
         .and_then(Path::file_stem)
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "bench".to_string());
-    let config = vec![
-        ("scale".to_string(), scale.label.clone()),
-        (
-            "clips".to_string(),
-            scale
-                .clip_count
-                .map(|c| c.to_string())
-                .unwrap_or_else(|| "paper".to_string()),
-        ),
-        ("size".to_string(), scale.image_size.to_string()),
-        ("epochs".to_string(), scale.epochs.to_string()),
-        ("seeds".to_string(), scale.seeds.to_string()),
-    ];
-    match RunLedger::create(Path::new(root), &bin, None, config, None) {
-        Ok(ledger) => {
-            eprintln!("[run] {}", ledger.dir().display());
-            *RUN_LEDGER.lock().unwrap() = Some(ledger);
-        }
-        Err(e) => eprintln!("[run] ledger disabled: {e}"),
-    }
+        .map_or_else(|| "bench".to_string(), |s| s.to_string_lossy().into_owned())
 }
 
-/// Enables telemetry when `--trace` / `--metrics-out FILE` appear in the
-/// process arguments or a run ledger is active, wiring a JSONL sink
-/// (`--metrics-out` path, else the run's `trace.jsonl`), and emits the
-/// run-metadata event (binary name, platform, thread count, `extra`).
-/// A no-op when neither flags nor ledger are present.
-pub fn init_telemetry_from_args(extra: &[(&str, litho_telemetry::Value)]) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let trace = args.iter().any(|a| a == "--trace");
-    let metrics_out = args
-        .windows(2)
-        .find(|w| w[0] == "--metrics-out")
-        .map(|w| w[1].clone());
-    let mut guard = RUN_LEDGER.lock().unwrap();
-    if !trace && metrics_out.is_none() && guard.is_none() {
-        return;
-    }
-    let sink_path = metrics_out
-        .clone()
-        .map(PathBuf::from)
-        .or_else(|| guard.as_ref().map(RunLedger::default_trace_path));
-    if let Some(path) = sink_path {
-        match litho_telemetry::JsonlSink::create(&path) {
-            Ok(sink) => litho_telemetry::set_sink(Some(Box::new(sink))),
-            Err(e) => eprintln!("[telemetry] cannot open {}: {e}", path.display()),
-        }
-    }
-    if let Some(ledger) = guard.as_mut() {
-        // An explicit --metrics-out path lives outside the run dir;
-        // record it as given so `report` still finds the stream.
-        let trace_path = metrics_out.unwrap_or_else(|| "trace.jsonl".to_string());
-        if let Err(e) = ledger.set_trace_path(&trace_path) {
-            eprintln!("[run] cannot record trace path: {e}");
-        }
-        litho_telemetry::set_run_id(Some(ledger.run_id()));
-    }
-    drop(guard);
-    TRACE_REQUESTED.store(trace, Ordering::Relaxed);
-    litho_telemetry::enable();
-    litho_telemetry::emit_run_metadata(extra);
+/// The `main` of an experiment binary: parses the global flags shared
+/// with `lithogan_cli` and the [`Scale`] flags, then runs `body` inside
+/// the shared run lifecycle ([`lithogan::cli::run`]), which records the
+/// invocation under `runs/` unless `--no-run` is given. An unknown flag
+/// fails before any work starts; a body that fails or panics leaves its
+/// run finalized as `error`.
+pub fn run_experiment<F>(body: F) -> ExitCode
+where
+    F: FnOnce(&Scale, &mut Option<RunLedger>) -> Result<()>,
+{
+    lithogan::cli::main_with(|args, opts| {
+        let scale = Scale::from_args(args)?;
+        let record = RunRecord {
+            seed: None,
+            config: scale.config_pairs(),
+        };
+        lithogan::cli::run(opts, &bin_name(), Some(record), |ledger| {
+            body(&scale, ledger)
+        })
+    })
 }
 
-/// Flushes telemetry sinks, finalizes the run ledger (status `ok`) and,
-/// when `--trace` was given, prints the span/metric report to stderr.
-/// Call at the end of `main`.
-pub fn finish_telemetry() {
-    litho_telemetry::flush();
-    if let Some(ledger) = RUN_LEDGER.lock().unwrap().as_mut() {
-        if let Err(e) = ledger.finalize(true) {
-            eprintln!("[run] cannot finalize ledger: {e}");
-        }
-    }
-    if litho_telemetry::is_enabled() && TRACE_REQUESTED.load(Ordering::Relaxed) {
-        litho_telemetry::print_report();
-    }
+/// The `main` of a microbench that reports telemetry: the global flags
+/// shared with `lithogan_cli` (`--trace`, `--metrics-out`, `--threads`,
+/// `--simd`) act through the shared lifecycle, which records no run for
+/// it. The bench's own flags are [`microbench::MicroBench::from_args`]'s.
+pub fn run_microbench(bench: &str, body: impl FnOnce()) -> ExitCode {
+    lithogan::cli::main_with(|_, opts| {
+        lithogan::cli::run(opts, bench, None, |_| {
+            body();
+            Ok(())
+        })
+    })
 }
 
 /// Directory for cached datasets and experiment outputs.
@@ -287,12 +251,13 @@ pub fn out_dir() -> PathBuf {
     dir
 }
 
-/// Generates (or loads from cache) the dataset for a node at a scale.
+/// Generates (or loads from cache) the dataset for a node at a scale,
+/// and records its identity in `ledger`'s manifest when there is one.
 ///
 /// # Errors
 ///
 /// Propagates generation or I/O errors.
-pub fn dataset(node: Node, scale: &Scale) -> Result<Dataset> {
+pub fn dataset(node: Node, scale: &Scale, ledger: &mut Option<RunLedger>) -> Result<Dataset> {
     let config = scale.dataset_config(node);
     let cache = out_dir().join(format!(
         "{}_{}clips_{}px_seed{}.lgd",
@@ -304,7 +269,7 @@ pub fn dataset(node: Node, scale: &Scale) -> Result<Dataset> {
     if cache.exists() {
         if let Ok(ds) = load_dataset(&cache) {
             if ds.config == config {
-                attach_dataset_to_ledger(&cache, &ds);
+                record_dataset(ledger, &cache, &ds)?;
                 return Ok(ds);
             }
         }
@@ -320,32 +285,8 @@ pub fn dataset(node: Node, scale: &Scale) -> Result<Dataset> {
         stats.opc_unconverged
     );
     save_dataset(&ds, &cache)?;
-    attach_dataset_to_ledger(&cache, &ds);
+    record_dataset(ledger, &cache, &ds)?;
     Ok(ds)
-}
-
-/// Records dataset identity in the run manifest (best effort; the first
-/// dataset wins for multi-node experiments — per-node identity lives in
-/// the trace/config).
-fn attach_dataset_to_ledger(path: &Path, ds: &Dataset) {
-    let mut guard = RUN_LEDGER.lock().unwrap();
-    let Some(ledger) = guard.as_mut() else { return };
-    if ledger.manifest().dataset.is_some() {
-        return;
-    }
-    let Ok((fingerprint, bytes)) = fingerprint_file(path) else { return };
-    let info = DatasetInfo {
-        path: path.to_string_lossy().into_owned(),
-        fingerprint,
-        bytes,
-        samples: ds.len(),
-        image_size: ds.config.image_size,
-        node: ds.config.process.name.clone(),
-        nm_per_px: ds.config.golden_nm_per_px(),
-    };
-    if let Err(e) = ledger.set_dataset(info) {
-        eprintln!("[run] cannot record dataset: {e}");
-    }
 }
 
 /// The three models of Table 3, trained on one split with one seed.
@@ -502,4 +443,63 @@ pub fn table3_header() -> String {
         "{:<5} {:<10} {:>7} {:>8} {:>10} {:>10} {:>9}",
         "Data", "Method", "EDE", "EDE-std", "PixelAcc", "ClassAcc", "MeanIoU"
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scale(args: &[&str]) -> Result<Scale> {
+        Scale::from_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    fn pairs(list: &[(&str, &str)]) -> Vec<(String, String)> {
+        list.iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn scale_flags_apply_left_to_right_and_set_the_manifest_config() {
+        assert_eq!(scale(&[]).unwrap(), Scale::standard());
+        let s = scale(&["--quick", "--seeds=3", "--clips=12"]).unwrap();
+        assert_eq!(
+            s.config_pairs(),
+            pairs(&[
+                ("scale", "quick"),
+                ("clips", "12"),
+                ("size", "64"),
+                ("epochs", "8"),
+                ("seeds", "3")
+            ])
+        );
+        // A later preset resets what an earlier flag set.
+        assert_eq!(scale(&["--seeds=3", "--quick"]).unwrap(), Scale::quick());
+        assert_eq!(
+            scale(&["--paper", "--epochs=2"]).unwrap().config_pairs(),
+            pairs(&[
+                ("scale", "paper"),
+                ("clips", "paper"),
+                ("size", "256"),
+                ("epochs", "2"),
+                ("seeds", "5")
+            ])
+        );
+    }
+
+    #[test]
+    fn unknown_or_malformed_scale_flags_are_errors_naming_them() {
+        for (args, named) in [
+            (&["--seed=3"][..], "--seed=3"),
+            (&["--quik"][..], "--quik"),
+            (&["--quick=1"][..], "--quick=1"),
+            (&["--seeds"][..], "--seeds"),
+            (&["--seeds=x"][..], "--seeds"),
+            (&["--clips=-4"][..], "--clips"),
+            (&["table3"][..], "table3"),
+        ] {
+            let err = scale(args).unwrap_err().to_string();
+            assert!(err.contains(named), "{args:?}: {err}");
+        }
+    }
 }

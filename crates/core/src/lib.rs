@@ -41,6 +41,7 @@
 
 mod baseline;
 mod cgan;
+pub mod cli;
 mod center;
 pub mod dash;
 mod health;

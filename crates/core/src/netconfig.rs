@@ -75,6 +75,16 @@ impl NetConfig {
         }
     }
 
+    /// The network the command-line front ends use for `image_size`
+    /// images: [`NetConfig::paper`] at 256, else [`NetConfig::scaled`].
+    pub fn for_size(image_size: usize) -> Self {
+        if image_size == 256 {
+            NetConfig::paper()
+        } else {
+            NetConfig::scaled(image_size)
+        }
+    }
+
     /// Number of stride-2 encoder levels (bottleneck at 1 × 1).
     pub fn encoder_levels(&self) -> usize {
         self.image_size.trailing_zeros() as usize

@@ -29,6 +29,25 @@ cli=target/release/lithogan_cli
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
+echo "==> command front ends"
+# Every command in the CLI's table has help; an unknown one is an error.
+cmds=$("$cli" help | sed -n 's/^  lithogan-cli \([a-z][a-z-]*\( [a-z][a-z-]*\)*\).*/\1/p')
+test -n "$cmds"
+while IFS= read -r cmd; do
+  # Unquoted: `runs ls` is two words.
+  "$cli" help $cmd > /dev/null
+done <<< "$cmds"
+if "$cli" help nope > /dev/null 2>&1; then
+  echo "help for an unknown command unexpectedly succeeded"; exit 1
+fi
+# An experiment binary rejects an unknown flag before it generates or
+# records anything.
+mkdir "$work/bogus"
+if (cd "$work/bogus" && "$OLDPWD/target/release/table3" --bogus); then
+  echo "table3 --bogus unexpectedly succeeded"; exit 1
+fi
+test -z "$(ls -A "$work/bogus")"
+
 echo "==> dataset bytes independent of the thread count"
 # generate runs its clips as worker-pool tasks; the file must not change
 # with the pool width.
