@@ -19,10 +19,8 @@ fn main() -> ExitCode {
     lithogan_bench::run_microbench("inference", bench)
 }
 
-fn bench() {
+fn bench(mb: &MicroBench) {
     let scale = Scale::quick();
-    let mb = MicroBench::from_args();
-
     let ds = dataset(Node::N10, &scale, &mut None).expect("dataset");
     let sample = &ds.samples[0];
     let grid = ds.config.sim_grid;

@@ -168,13 +168,12 @@ fn main() -> ExitCode {
     lithogan_bench::run_microbench("nn_kernels", bench)
 }
 
-fn bench() {
-    let mb = MicroBench::from_args();
-    bench_matmul(&mb);
-    bench_conv(&mb);
-    bench_conv_paper(&mb);
-    bench_predict_paper_layers(&mb);
-    bench_batchnorm(&mb);
-    bench_fft(&mb);
+fn bench(mb: &MicroBench) {
+    bench_matmul(mb);
+    bench_conv(mb);
+    bench_conv_paper(mb);
+    bench_predict_paper_layers(mb);
+    bench_batchnorm(mb);
+    bench_fft(mb);
     mb.flush_json().expect("writing --json-out");
 }

@@ -71,9 +71,8 @@ fn main() -> ExitCode {
     lithogan_bench::run_microbench("optical", bench)
 }
 
-fn bench() {
-    let mb = MicroBench::from_args();
-    bench_aerial(&mb);
-    bench_rigorous_vs_compact(&mb);
-    bench_resist(&mb);
+fn bench(mb: &MicroBench) {
+    bench_aerial(mb);
+    bench_rigorous_vs_compact(mb);
+    bench_resist(mb);
 }

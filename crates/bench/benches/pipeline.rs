@@ -21,9 +21,7 @@ fn main() -> ExitCode {
     lithogan_bench::run_microbench("pipeline", bench)
 }
 
-fn bench() {
-    let mb = MicroBench::from_args();
-
+fn bench(mb: &MicroBench) {
     let process = ProcessConfig::n10();
     let generator = ClipGenerator::new(&process);
     let rules = SrafRules::for_process(&process);

@@ -26,6 +26,7 @@ use litho_metrics::{MetricAccumulator, MetricSummary};
 use litho_sim::ProcessConfig;
 use litho_tensor::{Result, Tensor, TensorError};
 use lithogan::cli::{record_dataset, RunRecord};
+use microbench::MicroBench;
 use lithogan::{Cgan, LithoGan, NetConfig, ThresholdBaseline, TrainConfig, TrainPair};
 
 /// A benchmark node.
@@ -234,11 +235,13 @@ where
 /// The `main` of a microbench that reports telemetry: the global flags
 /// shared with `lithogan_cli` (`--trace`, `--metrics-out`, `--threads`,
 /// `--simd`) act through the shared lifecycle, which records no run for
-/// it. The bench's own flags are [`microbench::MicroBench::from_args`]'s.
-pub fn run_microbench(bench: &str, body: impl FnOnce()) -> ExitCode {
-    lithogan::cli::main_with(|_, opts| {
+/// it; the rest are the bench's own flags ([`MicroBench::parse`]), and
+/// anything else fails before a bench runs.
+pub fn run_microbench(bench: &str, body: impl FnOnce(&MicroBench)) -> ExitCode {
+    lithogan::cli::main_with(|args, opts| {
+        let mb = MicroBench::parse(args)?;
         lithogan::cli::run(opts, bench, None, |_| {
-            body();
+            body(&mb);
             Ok(())
         })
     })

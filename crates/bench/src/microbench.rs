@@ -24,6 +24,7 @@ use std::time::{Duration, Instant};
 
 use litho_ledger::{Baseline, Direction, AI_SUFFIX, GFLOPS_SUFFIX, UTIL_SUFFIX};
 use litho_tensor::profile::KernelCost;
+use litho_tensor::{Result, TensorError};
 
 /// Synthetic metric embedded in every `--json-out` file: the time of a
 /// fixed integer workload measured at flush time. `perf_gate` divides the
@@ -119,27 +120,53 @@ fn source_from_exe() -> Option<String> {
 }
 
 impl MicroBench {
-    /// Default configuration overridden by `--samples=N`,
-    /// `--min-sample-ms=N` and `--json-out=FILE` process arguments
-    /// (`--quick` halves samples and the minimum sample duration).
-    pub fn from_args() -> Self {
+    /// Default configuration overridden by the bench flags `--samples=N`,
+    /// `--min-sample-ms=N` and `--json-out=FILE` (`--quick` halves samples
+    /// and the minimum sample duration), applied in order. `--bench`, which
+    /// `cargo bench` passes to every harness, is accepted and ignored.
+    ///
+    /// # Errors
+    ///
+    /// Any other argument, or a count that is not a non-negative integer,
+    /// is an error naming the flag.
+    pub fn parse(args: &[String]) -> Result<Self> {
         let mut mb = MicroBench {
             source: source_from_exe(),
             ..MicroBench::default()
         };
-        for arg in std::env::args().skip(1) {
+        let count = |flag: &str, v: &str| {
+            v.parse::<u64>().map_err(|_| {
+                TensorError::InvalidArgument(format!("{flag} expects a count, got {v:?}"))
+            })
+        };
+        for arg in args {
             if let Some(v) = arg.strip_prefix("--samples=") {
-                mb.samples = v.parse().expect("--samples=N");
+                mb.samples = count("--samples", v)? as usize;
             } else if let Some(v) = arg.strip_prefix("--min-sample-ms=") {
-                mb.min_sample = Duration::from_millis(v.parse().expect("--min-sample-ms=N"));
+                mb.min_sample = Duration::from_millis(count("--min-sample-ms", v)?);
             } else if let Some(v) = arg.strip_prefix("--json-out=") {
                 mb.json_out = Some(PathBuf::from(v));
             } else if arg == "--quick" {
                 mb.samples = (mb.samples / 2).max(5);
                 mb.min_sample /= 2;
+            } else if arg != "--bench" {
+                return Err(TensorError::InvalidArgument(format!(
+                    "unknown bench flag {arg:?} (expected --samples=N, --min-sample-ms=N, \
+                     --json-out=FILE or --quick)"
+                )));
             }
         }
-        mb
+        Ok(mb)
+    }
+
+    /// [`Self::parse`] over the process arguments; on an error, prints it
+    /// and exits with status 1 before any bench runs.
+    pub fn from_args() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        MicroBench::parse(&args).unwrap_or_else(|err| {
+            eprintln!("error: {err}");
+            std::process::exit(1)
+        })
     }
 
     /// Explicit `--json-out` destination (tests; CLIs use [`Self::from_args`]).
@@ -355,6 +382,38 @@ pub fn fmt_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<MicroBench> {
+        MicroBench::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_reads_the_bench_flags_in_order() {
+        let mb = parse(&["--bench", "--samples=12", "--quick", "--min-sample-ms=7"]).unwrap();
+        assert_eq!(mb.samples, 6);
+        assert_eq!(mb.min_sample, Duration::from_millis(7));
+        assert_eq!(mb.json_out, None);
+        let mb = parse(&["--quick", "--samples=12", "--json-out=out.json"]).unwrap();
+        assert_eq!(mb.samples, 12);
+        assert_eq!(mb.min_sample, Duration::from_millis(10));
+        assert_eq!(mb.json_out, Some(PathBuf::from("out.json")));
+        let mb = parse(&[]).unwrap();
+        assert_eq!((mb.samples, mb.min_sample), (15, Duration::from_millis(20)));
+    }
+
+    #[test]
+    fn parse_rejects_unknown_flags_and_bad_counts_naming_the_flag() {
+        for (args, named) in [
+            (&["--bench", "--sampels=3"][..], "--sampels=3"),
+            (&["--samples=x"][..], "--samples"),
+            (&["--min-sample-ms=-1"][..], "--min-sample-ms"),
+            (&["--samples"][..], "--samples"),
+            (&["extra"][..], "extra"),
+        ] {
+            let err = parse(args).unwrap_err().to_string();
+            assert!(err.contains(named), "{args:?}: {err}");
+        }
+    }
 
     #[test]
     fn run_reports_sane_statistics() {

@@ -56,6 +56,21 @@ enum Ty {
 }
 use Ty::{Int, Real, Text};
 
+/// `print!` that treats a closed stdout as the end of output and returns
+/// any other write failure (see [`lithogan::cli::write_stdout`]).
+macro_rules! out {
+    ($($arg:tt)*) => {
+        lithogan::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        lithogan::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 impl Ty {
     fn accepts(self, value: &str) -> bool {
         match self {
@@ -839,7 +854,7 @@ fn cmd_help(a: &Args, _: &GlobalOpts, _: &mut Option<RunLedger>) -> Result<()> {
         topic if topic.is_empty() => usage(),
         topic => help_text(&topic)?,
     };
-    println!("{text}");
+    outln!("{text}")?;
     Ok(())
 }
 
@@ -857,13 +872,13 @@ fn cmd_generate(a: &Args, _: &GlobalOpts, ledger: &mut Option<RunLedger>) -> Res
     let (ds, stats) = generate(&config)?;
     save_dataset(&ds, &out)?;
     record_dataset(ledger, Path::new(&out), &ds)?;
-    println!(
+    outln!(
         "generated {} samples in {:.1?} ({} retries, {} OPC non-converged) -> {out}",
         ds.len(),
         t0.elapsed(),
         stats.empty_golden_retries,
         stats.opc_unconverged
-    );
+    )?;
     Ok(())
 }
 
@@ -919,21 +934,21 @@ fn cmd_train(a: &Args, _: &GlobalOpts, ledger: &mut Option<RunLedger>) -> Result
     }
     let history = train_result?;
     model.save_to_path(&out)?;
-    println!(
+    outln!(
         "trained on {} samples; generator loss {:.2} -> {:.2}; saved {out}",
         train.len(),
         history.g_loss.first().copied().unwrap_or(0.0),
         history.g_loss.last().copied().unwrap_or(0.0)
-    );
+    )?;
     // Post-training evaluation on the held-out split feeds the run
     // ledger, so `report`/`compare --gate` see quality, not just loss.
     if !test.is_empty() {
         let acc = eval_into_ledger(&mut model, &test, ds.config.golden_nm_per_px(), ledger)?;
         let s = acc.summary();
-        println!(
+        outln!(
             "test split  {} samples: EDE {:.2} nm, pixel acc {:.4}, mIoU {:.4}",
             s.samples, s.ede_mean_nm, s.pixel_accuracy, s.mean_iou
-        );
+        )?;
     }
     Ok(())
 }
@@ -945,18 +960,18 @@ fn cmd_eval(a: &Args, _: &GlobalOpts, ledger: &mut Option<RunLedger>) -> Result<
     let mut m = LithoGan::load_from_path(&NetConfig::for_size(ds.config.image_size), &model)?;
     let acc = eval_into_ledger(&mut m, &test, ds.config.golden_nm_per_px(), ledger)?;
     let s = acc.summary();
-    println!(
+    outln!(
         "test samples {}\nEDE        {:.2} ± {:.2} nm\npixel acc  {:.4}\nclass acc  {:.4}\nmean IoU   {:.4}\ncentre err {:.2} nm",
         s.samples, s.ede_mean_nm, s.ede_std_nm, s.pixel_accuracy, s.class_accuracy, s.mean_iou, s.center_error_nm
-    );
+    )?;
     for sl in &s.slices {
         let ede = sl
             .ede_mean_nm
             .map_or("-".to_string(), |v| format!("{v:.2} nm"));
-        println!(
+        outln!(
             "  {:<9} {:>4} samples, EDE {ede}, mIoU {:.4}",
             sl.family, sl.samples, sl.mean_iou
-        );
+        )?;
     }
     Ok(())
 }
@@ -989,36 +1004,36 @@ fn cmd_predict(a: &Args, _: &GlobalOpts, ledger: &mut Option<RunLedger>) -> Resu
     let binary = p.adjusted.map(|v| if v >= 0.5 { 1.0 } else { 0.0 });
     let panel = overlay_panel(&binary, &sample.golden)?;
     write_ppm(&panel, dir.join(format!("sample{index}_prediction.ppm")))?;
-    println!(
+    outln!(
         "sample {index}: predicted centre ({:.1}, {:.1}) px, inference {:.2} ms; panels in {out_dir}",
         p.center_px.0,
         p.center_px.1,
         p.elapsed.as_secs_f64() * 1e3
-    );
+    )?;
     Ok(())
 }
 
 fn cmd_report(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Result<()> {
     let data = resolve_run(&a.operands[0], &opts.runs_root)?;
-    print!("{}", render_report(&data));
+    out!("{}", render_report(&data))?;
     let svg_path = data.dir.join("dashboard.svg");
     std::fs::write(&svg_path, dashboard_svg(&data))?;
-    println!("dashboard:  {}", svg_path.display());
+    outln!("dashboard:  {}", svg_path.display())?;
     Ok(())
 }
 
 fn cmd_triage(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Result<()> {
     let data = resolve_run(&a.operands[0], &opts.runs_root)?;
     let worst = a.get("worst");
-    print!(
+    out!(
         "{}",
         render_triage(&data.manifest.run_id, &data.records, worst)
-    );
+    )?;
     let nm_per_px = data.manifest.dataset.as_ref().map_or(1.0, |d| d.nm_per_px);
     let svg_path = data.dir.join("triage.svg");
     let svg = triage_svg(&data.manifest.run_id, &data.records, worst, nm_per_px);
     std::fs::write(&svg_path, svg)?;
-    println!("gallery:    {}", svg_path.display());
+    outln!("gallery:    {}", svg_path.display())?;
     Ok(())
 }
 
@@ -1030,13 +1045,13 @@ fn cmd_profile(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Result
             "run {run:?} has no telemetry trace — rerun without --no-run"
         )));
     };
-    print!("{}", render_attribution(trace, a.get("top")));
+    out!("{}", render_attribution(trace, a.get("top")))?;
     let svg_path = data.dir.join("flamegraph.svg");
     std::fs::write(&svg_path, flamegraph_svg(trace))?;
     let folded_path = data.dir.join("flamegraph.folded");
     std::fs::write(&folded_path, fold_lines(trace))?;
-    println!("flamegraph: {}", svg_path.display());
-    println!("folded:     {}", folded_path.display());
+    outln!("flamegraph: {}", svg_path.display())?;
+    outln!("folded:     {}", folded_path.display())?;
     Ok(())
 }
 
@@ -1048,10 +1063,10 @@ fn cmd_health(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Result<
             "run {run:?} has no health.jsonl — train with --health"
         )));
     };
-    print!("{}", render_health(&data.manifest.run_id, h));
+    out!("{}", render_health(&data.manifest.run_id, h))?;
     let svg_path = data.dir.join("health.svg");
     std::fs::write(&svg_path, health_svg(&data.manifest.run_id, h))?;
-    println!("panel:      {}", svg_path.display());
+    outln!("panel:      {}", svg_path.display())?;
     if let Some(list) = a.opt::<String>("fail-on") {
         let kinds = DiagnosisKind::parse_list(&list)
             .map_err(|name| bad(format!("--fail-on: unknown diagnosis {name:?}")))?;
@@ -1080,7 +1095,7 @@ fn cmd_compare(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Result
     let run_a = resolve_run(&a.operands[0], &opts.runs_root)?;
     if let Some(b) = a.operands.get(1) {
         let run_b = resolve_run(b, &opts.runs_root)?;
-        print!("{}", render_compare(&run_a, &run_b));
+        out!("{}", render_compare(&run_a, &run_b))?;
     }
     if let Some(path) = write_baseline {
         let keys = [
@@ -1091,13 +1106,13 @@ fn cmd_compare(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Result
         ];
         let baseline = Baseline::from_run(&run_a, tol_pct.unwrap_or(25.0), &keys);
         std::fs::write(&path, baseline.to_json_string())?;
-        println!("baseline written to {path}");
+        outln!("baseline written to {path}")?;
     }
     if let Some(path) = gate_path {
         let baseline =
             Baseline::load(Path::new(&path)).map_err(|e| bad(format!("--gate {path}: {e}")))?;
         let outcome = gate(&run_a, &baseline, tol_pct);
-        print!("{}", outcome.render());
+        out!("{}", outcome.render())?;
         if !outcome.passed() {
             let failed: Vec<String> = outcome.failures().map(|c| c.metric.clone()).collect();
             return Err(bad(format!(
@@ -1140,12 +1155,12 @@ fn cmd_runs_ls(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Result
         // Same serializer as the index lines and /api/runs, so
         // downstream tooling sees one schema.
         for r in &records {
-            println!("{}", r.to_jsonl());
+            outln!("{}", r.to_jsonl())?;
         }
         return Ok(());
     }
     if records.is_empty() {
-        println!("no runs match under {}", root.display());
+        outln!("no runs match under {}", root.display())?;
         return Ok(());
     }
     let w = records
@@ -1154,10 +1169,10 @@ fn cmd_runs_ls(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Result
         .max()
         .unwrap_or(3)
         .max(3);
-    println!(
+    outln!(
         "{:<w$}  {:<16}  {:<8}  {:<10}  {:>7}  {:<12}  {:>8}  health",
         "run", "started (UTC)", "command", "status", "wall", "dataset", "ede nm"
-    );
+    )?;
     for r in &records {
         let wall = r
             .wall_clock_s
@@ -1169,7 +1184,7 @@ fn cmd_runs_ls(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Result
         let ede = r
             .metric("ede_mean_nm")
             .map_or("-".to_string(), |v| format!("{v:.2}"));
-        println!(
+        outln!(
             "{:<w$}  {:<16}  {:<8}  {:<10}  {:>7}  {:<12}  {:>8}  {}",
             r.run_id,
             fmt_unix(r.started_unix_s),
@@ -1179,9 +1194,9 @@ fn cmd_runs_ls(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Result
             fp,
             ede,
             r.health.as_deref().unwrap_or("-"),
-        );
+        )?;
     }
-    println!("{} run(s)", records.len());
+    outln!("{} run(s)", records.len())?;
     Ok(())
 }
 
@@ -1220,7 +1235,7 @@ fn cmd_runs_trend(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Res
             None => metric.to_string(),
         };
         let t = trend(&records, &key, last, &cfg);
-        print!("{}", render_trend(&t));
+        out!("{}", render_trend(&t))?;
         trends.push(t);
     }
     if trends.is_empty() {
@@ -1230,7 +1245,7 @@ fn cmd_runs_trend(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Res
         .opt::<String>("out")
         .map_or_else(|| root.join("trend.svg"), PathBuf::from);
     std::fs::write(&svg_path, trend_svg(&trends))?;
-    println!("trend:      {}", svg_path.display());
+    outln!("trend:      {}", svg_path.display())?;
     if a.on("gate") {
         let drifted: Vec<&str> = trends
             .iter()
@@ -1243,7 +1258,7 @@ fn cmd_runs_trend(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Res
                 drifted.join(", ")
             )));
         }
-        println!("trend gate: PASS");
+        outln!("trend gate: PASS")?;
     }
     Ok(())
 }
@@ -1258,7 +1273,7 @@ fn cmd_runs_diff_eval(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) ->
         &run_b.records,
         a.get("tol-pct"),
     );
-    print!("{}", render_diff_eval(&d));
+    out!("{}", render_diff_eval(&d))?;
     if a.on("gate") && !d.gate_passed() {
         return Err(bad(format!(
             "diff-eval gate failed: {} clip(s) regressed",
@@ -1288,17 +1303,17 @@ fn cmd_runs_gc(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Result
         }
     }
     let outcome = litho_ledger::index::gc(root, a.get("keep"), &protected)?;
-    println!(
+    outln!(
         "gc: kept {}, removed {}, protected {}",
         outcome.kept.len(),
         outcome.removed.len(),
         outcome.protected.len()
-    );
+    )?;
     for id in &outcome.removed {
-        println!("removed   {id}");
+        outln!("removed   {id}")?;
     }
     for id in &outcome.protected {
-        println!("protected {id}");
+        outln!("protected {id}")?;
     }
     Ok(())
 }
@@ -1306,11 +1321,11 @@ fn cmd_runs_gc(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Result
 fn cmd_reindex(_: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Result<()> {
     let root = Path::new(&opts.runs_root);
     let outcome = reindex(root)?;
-    println!(
+    outln!(
         "reindexed {} run(s) -> {}",
         outcome.records.len(),
         litho_ledger::index::index_path(root).display()
-    );
+    )?;
     for dir in &outcome.unreadable {
         eprintln!("warning: skipped unreadable run dir {dir}");
     }
@@ -1337,10 +1352,10 @@ fn cmd_alerts(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Result<
     for t in &outcome.transitions {
         eprintln!("{}", litho_alert::render_transition(t));
     }
-    print!("{}", litho_alert::render_alerts_table(&outcome.active));
+    out!("{}", litho_alert::render_alerts_table(&outcome.active))?;
     if a.on("json") {
         for alert in &outcome.active {
-            println!("{}", alert.to_json());
+            outln!("{}", alert.to_json())?;
         }
     }
     let firing = outcome.firing().len();
@@ -1348,7 +1363,7 @@ fn cmd_alerts(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Result<
         if firing > 0 {
             return Err(bad(format!("alerts gate: {firing} alert(s) firing")));
         }
-        println!("alerts gate: PASS");
+        outln!("alerts gate: PASS")?;
     }
     Ok(())
 }
@@ -1397,7 +1412,7 @@ fn cmd_watch(a: &Args, opts: &GlobalOpts, _: &mut Option<RunLedger>) -> Result<(
             },
         )
         .map_err(|e| bad(format!("watch {run:?}: {e}")))?;
-    println!("{}", render_snapshot(&snap));
+    outln!("{}", render_snapshot(&snap))?;
     if snap.succeeded() {
         Ok(())
     } else {

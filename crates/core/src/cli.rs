@@ -2,8 +2,10 @@
 //! binaries: the global flags, the run ledger, telemetry and crash
 //! forensics around one command's body (see [`run`]).
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use litho_dataset::Dataset;
 use litho_ledger::{fingerprint_file, DatasetInfo, RunLedger};
@@ -255,6 +257,33 @@ pub fn record_dataset(ledger: &mut Option<RunLedger>, path: &Path, ds: &Dataset)
         nm_per_px: ds.config.golden_nm_per_px(),
     })?;
     Ok(())
+}
+
+/// Set once a write to stdout finds its reader gone.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes `args` to stdout and flushes. A closed stdout (`BrokenPipe`, as
+/// when the reader of `lithogan_cli help | head -1` exits) is the end of
+/// output, not a failure: this and every later write succeed without
+/// writing, and the command runs to its normal end.
+///
+/// # Errors
+///
+/// Any other write failure (`i/o error: …` once converted to
+/// [`TensorError`]).
+pub fn write_stdout(args: std::fmt::Arguments<'_>) -> std::io::Result<()> {
+    // Relaxed: the flag publishes no other data.
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return Ok(());
+    }
+    let mut out = std::io::stdout().lock();
+    match out.write_fmt(args).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            Ok(())
+        }
+        written => written,
+    }
 }
 
 /// The `main` of a command-line program: splits the global flags off the

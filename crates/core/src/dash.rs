@@ -33,7 +33,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -135,20 +135,19 @@ pub fn run_dash(cfg: &DashConfig) -> io::Result<()> {
         })?;
     // The announce line is the contract with scripts starting dash on an
     // ephemeral port: parse the URL off stdout.
-    println!(
-        "dash listening on http://{addr} (runs root {})",
+    crate::cli::write_stdout(format_args!(
+        "dash listening on http://{addr} (runs root {})\n",
         cfg.runs_root.display()
-    );
-    io::stdout().flush()?;
+    ))?;
     let handler_state = Arc::clone(&state);
     server.serve(Arc::new(move |req: &Request| handle(&handler_state, req)))?;
     // Latency histograms never stream per-sample; persist the final
     // quantiles into the run's trace before main finalizes the manifest.
     litho_telemetry::emit_histogram_summaries();
-    println!(
-        "dash: shut down after {} request(s)",
+    crate::cli::write_stdout(format_args!(
+        "dash: shut down after {} request(s)\n",
         state.requests.load(Ordering::Relaxed)
-    );
+    ))?;
     Ok(())
 }
 

@@ -1,14 +1,16 @@
 use litho_tensor::rng::Rng;
 
 use litho_tensor::{
-    conv_backward_fused, gemm, im2col_into, Im2ColSpec, MatRef, Result, Tensor, TensorError,
+    conv_backward_fused, conv_forward_fused, Im2ColSpec, Result, Tensor, TensorError,
 };
 
 use crate::layer::{Layer, Param, Phase};
-use crate::util::{cm_to_nchw, ensure_shape, nchw_to_cm_into};
+use crate::util::{ensure_shape, nchw_to_cm_into};
 use crate::WeightInit;
 
-/// 2-D convolution over NCHW tensors, lowered to GEMM via im2col.
+/// 2-D convolution over NCHW tensors, lowered to GEMM via im2col. The
+/// column matrix is never stored: the GEMM packs it straight from the
+/// input ([`litho_tensor::conv_forward_fused`]).
 ///
 /// Weight layout is `[out_c, in_c * kh * kw]`; bias is `[out_c]`. The
 /// paper's encoder/discriminator layers are all `Conv2d::new(..., 5, 2, 2)`
@@ -41,19 +43,17 @@ pub struct Conv2d {
 
 #[derive(Debug)]
 struct ConvCache {
-    cols: Tensor,
-    input_dims: [usize; 4],
+    input: Tensor,
     output_hw: (usize, usize),
 }
 
 /// Layer-owned scratch, grown on demand and reused every step so the hot
-/// loop stops allocating. The im2col matrix cycles between the workspace
-/// and the train cache: forward moves it into the cache, backward hands it
-/// back.
+/// loop stops allocating. The saved input cycles between the workspace
+/// and the train cache: forward copies the input into it and moves it into
+/// the cache, backward hands it back.
 #[derive(Debug)]
 struct ConvWorkspace {
-    cols: Tensor,
-    y_mat: Tensor,
+    input: Tensor,
     dy: Tensor,
     dw: Tensor,
 }
@@ -61,8 +61,7 @@ struct ConvWorkspace {
 impl Default for ConvWorkspace {
     fn default() -> Self {
         ConvWorkspace {
-            cols: crate::util::empty(),
-            y_mat: crate::util::empty(),
+            input: crate::util::empty(),
             dy: crate::util::empty(),
             dw: crate::util::empty(),
         }
@@ -139,37 +138,37 @@ impl Layer for Conv2d {
             )));
         }
         let (oh, ow) = self.spec.output_size(h, w)?;
-        let k = c * self.spec.kernel_h * self.spec.kernel_w;
-        let ncols = n * oh * ow;
-        ensure_shape(&mut self.ws.cols, &[k, ncols]);
-        im2col_into(input, &self.spec, &mut self.ws.cols)?;
-        // [out_c, k] x [k, n*oh*ow] -> [out_c, n*oh*ow], bias fused into
-        // the GEMM's last store instead of a separate full-tensor sweep.
-        ensure_shape(&mut self.ws.y_mat, &[self.out_channels, ncols]);
-        gemm(
-            MatRef::row_major(self.weight.value.as_slice(), self.out_channels, k),
-            MatRef::row_major(self.ws.cols.as_slice(), k, ncols),
-            self.ws.y_mat.as_mut_slice(),
+        // [out_c, k] x im2col(x) straight into the NCHW output, bias fused
+        // into the GEMM's last store instead of a separate sweep.
+        let mut y = Tensor::zeros(&[n, self.out_channels, oh, ow]);
+        conv_forward_fused(
+            self.weight.value.as_slice(),
+            input,
             Some(self.bias.value.as_slice()),
-        );
+            &mut y,
+            &self.spec,
+        )?;
         if phase == Phase::Train {
-            // Lend the cols buffer to the cache; backward returns it.
+            // The weight gradient reads im2col of the input: keep a copy in
+            // the reused buffer and lend it to the cache; backward returns it.
+            let mut saved = std::mem::replace(&mut self.ws.input, crate::util::empty());
+            ensure_shape(&mut saved, input.dims());
+            saved.as_mut_slice().copy_from_slice(input.as_slice());
             self.cache = Some(ConvCache {
-                cols: std::mem::replace(&mut self.ws.cols, crate::util::empty()),
-                input_dims: [n, c, h, w],
+                input: saved,
                 output_hw: (oh, ow),
             });
         } else {
             self.cache = None;
         }
-        cm_to_nchw(&self.ws.y_mat, n, self.out_channels, oh, ow)
+        Ok(y)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
         let cache = self.cache.take().ok_or_else(|| {
             TensorError::InvalidArgument("Conv2d::backward called before train forward".into())
         })?;
-        let [n, c, h, w] = cache.input_dims;
+        let [n, c, h, w] = cache.input.shape().as_nchw()?;
         let (oh, ow) = cache.output_hw;
         let ncols = n * oh * ow;
         nchw_to_cm_into(grad_output, &mut self.ws.dy)?; // [out_c, n*oh*ow]
@@ -180,15 +179,15 @@ impl Layer for Conv2d {
             });
         }
 
-        // dW = dy · colsᵀ and dx = col2im(Wᵀ · dy) in one fused kernel:
-        // colsᵀ is read through strides and dx is scattered from per-item
-        // windows, so neither a transpose nor the full dcols is built.
+        // dW = dy · im2col(x)ᵀ and dx = col2im(Wᵀ · dy) in one fused
+        // kernel: im2col(x)ᵀ is packed straight from the saved input and dx
+        // is scattered from per-item windows, so no column matrix is built.
         ensure_shape(&mut self.ws.dw, self.weight.value.dims());
         let mut dx = Tensor::zeros(&[n, c, h, w]);
         conv_backward_fused(
             self.weight.value.as_slice(),
             self.ws.dy.as_slice(),
-            cache.cols.as_slice(),
+            &cache.input,
             self.ws.dw.as_mut_slice(),
             &mut dx,
             &self.spec,
@@ -205,8 +204,8 @@ impl Layer for Conv2d {
             }
         }
 
-        // Return the lent cols buffer to the workspace for the next step.
-        self.ws.cols = cache.cols;
+        // Return the lent input buffer to the workspace for the next step.
+        self.ws.input = cache.input;
         Ok(dx)
     }
 
@@ -283,6 +282,20 @@ mod tests {
         let mut rng = litho_tensor::rng::StdRng::seed_from_u64(7);
         let conv = Conv2d::new(2, 3, 3, 2, 1, &mut rng);
         crate::gradcheck::check_layer(Box::new(conv), &[2, 2, 5, 5], 1e-2, 2e-2);
+    }
+
+    #[test]
+    fn gradient_check_at_both_levels_past_one_reduction_block() {
+        // k = 12·5·5 = 300 crosses the GEMM's 256-deep reduction block, and
+        // n·oh·ow = 2·3·3 = 18 leaves a partial 16-column tile.
+        use litho_tensor::{with_level, KernelLevel};
+        for level in [KernelLevel::Scalar, KernelLevel::Avx2] {
+            let mut rng = litho_tensor::rng::StdRng::seed_from_u64(17);
+            let conv = Conv2d::new(12, 3, 5, 2, 2, &mut rng);
+            with_level(level, || {
+                crate::gradcheck::check_layer(Box::new(conv), &[2, 12, 5, 5], 1e-2, 2e-2)
+            });
+        }
     }
 
     #[test]

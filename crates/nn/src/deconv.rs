@@ -1,11 +1,11 @@
 use litho_tensor::rng::Rng;
 
 use litho_tensor::{
-    conv_transpose_fused, gemm, im2col_into, Im2ColSpec, MatRef, Result, Tensor, TensorError,
+    conv_forward_fused, conv_transpose_fused, gemm, Im2ColSpec, MatRef, Result, Tensor, TensorError,
 };
 
 use crate::layer::{Layer, Param, Phase};
-use crate::util::{cm_to_nchw, ensure_shape, nchw_to_cm_into};
+use crate::util::{ensure_shape, nchw_to_cm_into};
 use crate::WeightInit;
 
 /// 2-D transposed convolution ("Deconv" in the paper's Table 1).
@@ -14,7 +14,8 @@ use crate::WeightInit;
 /// `col2im(Wᵀ · x) + bias`, the same fused kernel as the conv backward
 /// data pass ([`litho_tensor::conv_transpose_fused`]). With `kernel = 5,
 /// stride = 2, pad = 2, output_pad = 1` the spatial size doubles — the
-/// paper's decoder configuration.
+/// paper's decoder configuration. Its backward is a convolution forward of
+/// the output gradient, whose im2col matrix is never stored either.
 ///
 /// Weight layout is `[in_c, out_c * kh * kw]`; bias is `[out_c]`.
 ///
@@ -57,18 +58,14 @@ struct DeconvCache {
 #[derive(Debug)]
 struct DeconvWorkspace {
     x_mat: Tensor,
-    dcols: Tensor,
     dw: Tensor,
-    dx_mat: Tensor,
 }
 
 impl Default for DeconvWorkspace {
     fn default() -> Self {
         DeconvWorkspace {
             x_mat: crate::util::empty(),
-            dcols: crate::util::empty(),
             dw: crate::util::empty(),
-            dx_mat: crate::util::empty(),
         }
     }
 }
@@ -196,14 +193,12 @@ impl Layer for ConvTranspose2d {
             });
         }
 
-        let taps = self.out_channels * self.spec.kernel_h * self.spec.kernel_w;
         let ncols = n * ih * iw;
-        // dcols = im2col(dy): the adjoint of the forward col2im scatter.
-        ensure_shape(&mut self.ws.dcols, &[taps, ncols]);
-        im2col_into(grad_output, &self.spec, &mut self.ws.dcols)?; // [out_c*kh*kw, n*ih*iw]
+        // dcols = im2col(dy), the adjoint of the forward col2im scatter, as
+        // a view: [out_c*kh*kw, n*ih*iw], packed straight from dy.
+        let dcols = MatRef::im2col(grad_output, &self.spec)?;
 
         // dW = x · dcolsᵀ
-        let dcols = MatRef::row_major(self.ws.dcols.as_slice(), taps, ncols);
         ensure_shape(&mut self.ws.dw, self.weight.value.dims());
         gemm(
             MatRef::row_major(cache.x_mat.as_slice(), self.in_channels, ncols),
@@ -226,17 +221,14 @@ impl Layer for ConvTranspose2d {
             }
         }
 
-        // dx = W · dcols
-        ensure_shape(&mut self.ws.dx_mat, &[self.in_channels, ncols]);
-        gemm(
-            MatRef::row_major(self.weight.value.as_slice(), self.in_channels, taps),
-            dcols,
-            self.ws.dx_mat.as_mut_slice(),
-            None,
-        );
+        // dx = W · dcols: a convolution forward of dy, stored straight into
+        // the NCHW gradient.
+        let mut dx = Tensor::zeros(&[n, c, ih, iw]);
+        let weight = self.weight.value.as_slice();
+        conv_forward_fused(weight, grad_output, None, &mut dx, &self.spec)?;
         // Return the lent x_mat buffer to the workspace for the next step.
         self.ws.x_mat = cache.x_mat;
-        cm_to_nchw(&self.ws.dx_mat, n, c, ih, iw)
+        Ok(dx)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -332,6 +324,21 @@ mod tests {
             let deconv = ConvTranspose2d::new(3, 2, 3, 2, 1, 1, &mut rng);
             with_level(level, || {
                 crate::gradcheck::check_layer(Box::new(deconv), &[2, 3, 4, 4], 1e-2, 2e-2)
+            });
+        }
+    }
+
+    #[test]
+    fn gradient_check_at_both_levels_past_one_reduction_block() {
+        // The backward's dx GEMM folds k = 12·5·5 = 300 taps, past the
+        // 256-deep reduction block, over n·ih·iw = 2·3·3 = 18 columns, a
+        // partial 16-column tile.
+        use litho_tensor::{with_level, KernelLevel};
+        for level in [KernelLevel::Scalar, KernelLevel::Avx2] {
+            let mut rng = litho_tensor::rng::StdRng::seed_from_u64(19);
+            let deconv = ConvTranspose2d::new(3, 12, 5, 2, 2, 1, &mut rng);
+            with_level(level, || {
+                crate::gradcheck::check_layer(Box::new(deconv), &[2, 3, 3, 3], 1e-2, 2e-2)
             });
         }
     }

@@ -55,7 +55,9 @@ pub(crate) fn nchw_to_cm_into(input: &Tensor, out: &mut Tensor) -> Result<()> {
 }
 
 /// Inverse of [`nchw_to_cm`]: reinterprets a `[c, n*h*w]` channel-major
-/// matrix as an NCHW tensor.
+/// matrix as an NCHW tensor. The convolutions store NCHW directly; this
+/// remains for tests.
+#[cfg(test)]
 pub(crate) fn cm_to_nchw(mat: &Tensor, n: usize, c: usize, h: usize, w: usize) -> Result<Tensor> {
     let plane = h * w;
     let mut out = Tensor::zeros(&[n, c, h, w]);

@@ -1,36 +1,45 @@
-//! The one convolution core: `col2im(Wᵀ · x) + bias`, shared by the two
-//! layers that run it in adjoint roles.
+//! The convolution core: `W · im2col(x)` and `col2im(Wᵀ · x)`, each shared
+//! by the two layers that run it in adjoint roles.
 //!
 //! A transposed convolution is the adjoint of a convolution, so
 //! `ConvTranspose2d`'s forward and `Conv2d`'s input gradient are the same
-//! computation: a GEMM through `Wᵀ` followed by the `col2im` scatter.
-//! Both go through [`col2im_gemm`]:
+//! computation — a GEMM through `Wᵀ` followed by the `col2im` scatter —
+//! and `ConvTranspose2d`'s input gradient is a convolution forward of its
+//! output gradient:
 //!
 //! ```text
-//!   Conv2d::backward ──► conv_backward_fused ─┬─► dW = dy · colsᵀ   (gemm)
-//!                                              └─► dx = col2im(Wᵀ · dy)
-//!                                                          │
+//!   Conv2d::forward ──────────► conv_forward_fused ──► y = W · im2col(x) + b
+//!   ConvTranspose2d::backward ─┬► conv_forward_fused ──► dx = W · im2col(dy)
+//!                              └► gemm ──────────────► dW = x · im2col(dy)ᵀ
+//!                                          │
+//!                          im2col_gemm: per item window, W · im2col view
+//!                          stored straight into the NCHW output planes
+//!
+//!   Conv2d::backward ──► conv_backward_fused ─┬─► dW = dy · im2col(x)ᵀ  (gemm)
+//!                                             └─► dx = col2im(Wᵀ · dy)
 //!   ConvTranspose2d::forward ──► conv_transpose_fused ─► y = col2im(Wᵀ · x) + b
-//!                                                          │
-//!                                      col2im_gemm: per item group,
-//!                                      Wᵀ · x_window into thread scratch,
-//!                                      scatter into the image planes
+//!                                          │
+//!                          col2im_gemm: per item window, Wᵀ · x_window
+//!                          into thread scratch, scattered into the planes
 //! ```
 //!
-//! * The full `[k, n*oh*ow]` column matrix is never materialised
-//!   (~20 MB for the paper-shape conv backward, ~400 MB over the
-//!   generator's decoder at batch 8). A per-thread scratch receives
-//!   `Wᵀ · x` for a window of consecutive batch items — `Wᵀ` read in place
-//!   through swapped strides, `x`'s column window through its row
-//!   stride — and is scattered into those items' image planes while hot.
+//! * No `[k, n*oh*ow]` column matrix is ever materialised (~440 MB over the
+//!   generator and ~560 MB over the centre CNN at the paper's batch of 8).
+//!   `im2col(x)` is a [`MatRef::im2col`] view whose GEMM micro-panels are
+//!   packed straight from the NCHW image, in either orientation.
+//! * A per-item window of the output is a row-major `[rows, oh*ow]` block
+//!   of the NCHW tensor, so `im2col_gemm` stores each item's GEMM there
+//!   directly. `col2im_gemm` GEMMs a window into a per-thread scratch and
+//!   scatters it into the window's image planes while hot.
 //! * Consecutive items share one window until it is at least `KC` columns
-//!   wide, so a small map (the generator's 1×1, 2×2 and 4×4 decoder
-//!   inputs) does not repack the whole of `Wᵀ` for a handful of columns.
-//! * Each plane is set to the bias (or zero) and then scattered by
-//!   `col2im`'s own per-plane routine, and each GEMM element is one fold
-//!   regardless of the window, so results are bit-identical to the
-//!   unfused GEMM + `col2im` composition at every kernel level and thread
-//!   count.
+//!   wide, so a small map (the generator's 1×1, 2×2 and 4×4 layers) does
+//!   not repack the whole weight for a handful of columns; such a window's
+//!   GEMM goes through the scratch and is copied into its items' planes.
+//! * Each GEMM element is one fold regardless of the window, and the
+//!   `col2im` planes are set to the bias (or zero) and then scattered by
+//!   `col2im`'s own per-plane routine, so results are bit-identical to the
+//!   unfused im2col + GEMM + `col2im` compositions at every kernel level
+//!   and thread count.
 //!
 //! Parallelism: item windows run on the pool over disjoint image planes;
 //! a single window runs on the caller so its GEMM can use the pool.
@@ -39,7 +48,7 @@
 
 use std::cell::RefCell;
 
-use crate::im2col::{scatter_plane, Im2ColSpec};
+use crate::im2col::{scatter_plane, Im2ColImage, Im2ColSpec};
 use crate::matmul::{gemm_at, MatRef, KC};
 use crate::pool;
 use crate::simd::KernelLevel;
@@ -49,8 +58,8 @@ use crate::{Result, Tensor, TensorError};
 const PARALLEL_THRESHOLD: usize = 1 << 17;
 
 thread_local! {
-    /// Per-thread `[k, window]` scratch for one item window's `Wᵀ · x`.
-    static DCOLS_WINDOW: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread scratch for one item window's GEMM output.
+    static WINDOW: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 fn check_lengths(pairs: &[(usize, usize)]) -> Result<()> {
@@ -65,40 +74,92 @@ fn check_lengths(pairs: &[(usize, usize)]) -> Result<()> {
     Ok(())
 }
 
-/// Fused convolution backward for the im2col-lowered Conv2d.
+/// Convolution forward: `y = W · im2col(x) (+ bias)`.
 ///
-/// Inputs: `weight` is `[out_c, k]` (`k = c*kh*kw`), `dy` is
-/// `[out_c, n*oh*ow]` (channel-major gradient), `cols` is the forward's
-/// saved im2col matrix `[k, n*oh*ow]`. Outputs: `dw` (`[out_c, k]`) is
-/// overwritten with `dy · colsᵀ` (one [`crate::gemm`] over `cols` read
-/// transposed in place), and `dx` (`[n, c, h, w]`) with
-/// `col2im(Wᵀ · dy)`. The bias gradient is left to the caller (a cheap
-/// row-sum over `dy`).
+/// `weight` is `[out_c, k]` (`k = c*kh*kw` for `x`'s `c` channels), `x`
+/// the NCHW input and `y` (`[n, out_c, oh, ow]`, fully overwritten) the
+/// NCHW output. `bias` (`[out_c]`) joins each element after its fold.
+/// Emits one `gemm[{out_c}x{n*oh*ow}x{k}]` kernel span.
 ///
-/// Bit-identical to the unfused `dy · colsᵀ`, `Wᵀ · dy` GEMMs + `col2im`
-/// composition at every kernel level.
+/// Bit-identical to one GEMM over the stored `im2col(x)` followed by the
+/// NCHW reorder, at every kernel level and thread count.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError`] variants when `dx` is not rank 4, the geometry
-/// is invalid, or any slice length disagrees with the implied shape.
+/// Returns [`TensorError`] variants when `x` or `y` is not rank 4, the
+/// geometry is invalid, or any length disagrees with the implied shape.
+pub fn conv_forward_fused(
+    weight: &[f32],
+    x: &Tensor,
+    bias: Option<&[f32]>,
+    y: &mut Tensor,
+    spec: &Im2ColSpec,
+) -> Result<()> {
+    let image = Im2ColImage::new(x, spec)?;
+    let out_c = y.shape().as_nchw()?[1];
+    let (oh, ow) = image.out_hw();
+    let want = [image.dims()[0], out_c, oh, ow];
+    if y.dims() != want {
+        return Err(TensorError::ShapeMismatch {
+            left: y.dims().to_vec(),
+            right: want.to_vec(),
+        });
+    }
+    let (k, ncols) = (image.rows(), image.cols());
+    check_lengths(&[
+        (weight.len(), out_c * k),
+        (bias.map_or(out_c, <[f32]>::len), out_c),
+    ])?;
+    if y.is_empty() {
+        return Ok(());
+    }
+    let _span = crate::profile::kernel_span(
+        || format!("gemm[{out_c}x{ncols}x{k}]"),
+        crate::profile::KernelCost::gemm(out_c, ncols, k),
+    );
+    let level = crate::simd::active_level();
+    im2col_gemm(level, weight, image, bias, y.as_mut_slice(), out_c);
+    Ok(())
+}
+
+/// Fused convolution backward for the im2col-lowered Conv2d.
+///
+/// Inputs: `weight` is `[out_c, k]` (`k = c*kh*kw`), `dy` is
+/// `[out_c, n*oh*ow]` (channel-major gradient), `input` the forward's
+/// NCHW input `[n, c, h, w]`. Outputs: `dw` (`[out_c, k]`) is overwritten
+/// with `dy · im2col(input)ᵀ` (one [`crate::gemm`] over the im2col view,
+/// read transposed), and `dx` (`input`'s shape) with `col2im(Wᵀ · dy)`.
+/// The bias gradient is left to the caller (a cheap row-sum over `dy`).
+///
+/// Bit-identical to the unfused `dy · colsᵀ`, `Wᵀ · dy` GEMMs over the
+/// stored `cols = im2col(input)` + `col2im` composition at every kernel
+/// level.
+///
+/// # Errors
+///
+/// Returns [`TensorError`] variants when `dx` is not rank 4 or not
+/// `input`'s shape, the geometry is invalid, or any slice length
+/// disagrees with the implied shape.
 pub fn conv_backward_fused(
     weight: &[f32],
     dy: &[f32],
-    cols: &[f32],
+    input: &Tensor,
     dw: &mut [f32],
     dx: &mut Tensor,
     spec: &Im2ColSpec,
     out_c: usize,
 ) -> Result<()> {
-    let [n, c, h, w] = dx.shape().as_nchw()?;
-    let (oh, ow) = spec.output_size(h, w)?;
-    let k = c * spec.kernel_h * spec.kernel_w;
-    let ncols = n * oh * ow;
+    let image = Im2ColImage::new(input, spec)?;
+    if dx.dims() != input.dims() {
+        return Err(TensorError::ShapeMismatch {
+            left: dx.dims().to_vec(),
+            right: input.dims().to_vec(),
+        });
+    }
+    let (k, ncols) = (image.rows(), image.cols());
     check_lengths(&[
         (weight.len(), out_c * k),
         (dy.len(), out_c * ncols),
-        (cols.len(), k * ncols),
         (dw.len(), out_c * k),
     ])?;
     if ncols == 0 || out_c == 0 {
@@ -115,9 +176,9 @@ pub fn conv_backward_fused(
     // One level for the whole fused kernel, resolved on the caller thread.
     let level = crate::simd::active_level();
     let dy_m = MatRef::row_major(dy, out_c, ncols);
-    gemm_at(level, dy_m, MatRef::row_major(cols, k, ncols).t(), dw, None);
-    let dims = [n, c, h, w];
-    col2im_gemm(level, weight, dy, None, dx.as_mut_slice(), dims, (oh, ow), spec, out_c);
+    gemm_at(level, dy_m, MatRef::from_image(image).t(), dw, None);
+    let (dims, out_hw) = (image.dims(), image.out_hw());
+    col2im_gemm(level, weight, dy, None, dx.as_mut_slice(), dims, out_hw, spec, out_c);
     Ok(())
 }
 
@@ -145,6 +206,7 @@ pub fn conv_transpose_fused(
     spec: &Im2ColSpec,
     in_c: usize,
 ) -> Result<()> {
+    // The output grid is the image whose im2col matrix the scatter inverts.
     let [n, out_c, oh, ow] = y.shape().as_nchw()?;
     let (ih, iw) = spec.output_size(oh, ow)?;
     let k = out_c * spec.kernel_h * spec.kernel_w;
@@ -168,6 +230,79 @@ pub fn conv_transpose_fused(
     Ok(())
 }
 
+/// Items per GEMM window and the window count for `n` items of
+/// `item_cols` columns each: enough items that a window is at least `KC`
+/// columns wide.
+fn item_windows(n: usize, item_cols: usize) -> (usize, usize) {
+    let group = KC.div_ceil(item_cols.max(1)).min(n).max(1);
+    (group, n.div_ceil(group))
+}
+
+/// Runs `run_window(t)` for every window `t`: on the pool when there are
+/// several and `work` multiply-accumulates justify it, otherwise on the
+/// caller, where each window's GEMM can use the pool itself.
+fn for_each_window(windows: usize, work: usize, run_window: impl Fn(usize) + Sync) {
+    if windows == 1 || work < PARALLEL_THRESHOLD || pool::effective_threads() <= 1 {
+        (0..windows).for_each(run_window);
+    } else {
+        pool::parallel_for(windows, run_window);
+    }
+}
+
+/// `dst = W · im2col(image) (+ bias)` into the NCHW `[n, rows, oh, ow]`
+/// output, one item window at a time. A one-item window's output is the
+/// item's row-major `[rows, oh*ow]` block of `dst`, so its GEMM stores
+/// there; a wider window GEMMs into the per-thread scratch and is copied
+/// into its items' blocks. Lengths are the caller's to check.
+fn im2col_gemm(
+    level: KernelLevel,
+    weight: &[f32],
+    image: Im2ColImage<'_>,
+    bias: Option<&[f32]>,
+    dst: &mut [f32],
+    rows: usize,
+) {
+    let n = image.dims()[0];
+    let (k, ncols) = (image.rows(), image.cols());
+    let item_cols = ncols / n;
+    let (group, windows) = item_windows(n, item_cols);
+    let dst_len = dst.len();
+    let base = pool::SendPtr::new(dst.as_mut_ptr());
+    let w = MatRef::row_major(weight, rows, k);
+    let cols = MatRef::from_image(image);
+
+    for_each_window(windows, k * rows * ncols, move |t| {
+        let b0 = t * group;
+        let items = group.min(n - b0);
+        let win = items * item_cols;
+        let x_win = cols.block(0, k, b0 * item_cols, win);
+        let start = b0 * rows * item_cols;
+        assert!(start + rows * win <= dst_len, "window outside the output");
+        // SAFETY: in bounds (checked above); windows own disjoint items, and
+        // item `b`'s output is the contiguous `rows * item_cols` block at
+        // `b * rows * item_cols`; the buffer outlives the blocking
+        // parallel_for call.
+        let out = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), rows * win) };
+        if items == 1 {
+            gemm_at(level, w, x_win, out, bias);
+            return;
+        }
+        WINDOW.with(|cell| {
+            let mut y = cell.borrow_mut();
+            // Fully overwritten by the GEMM: no need to clear.
+            y.resize(rows * win, 0.0);
+            gemm_at(level, w, x_win, &mut y, bias);
+            // y is [row, (item, pos)]; the output is [(item, row), pos].
+            for (j, out_item) in out.chunks_exact_mut(rows * item_cols).enumerate() {
+                for (r, out_row) in out_item.chunks_exact_mut(item_cols).enumerate() {
+                    let at = r * win + j * item_cols;
+                    out_row.copy_from_slice(&y[at..at + item_cols]);
+                }
+            }
+        });
+    });
+}
+
 /// `dst = col2im(Wᵀ · src) (+ bias)`, where `weight` is `[rows, k]`, `src`
 /// the channel-major `[rows, n*oh*ow]` and `dst` the `[n, c, h, w]` image,
 /// one item window at a time: GEMM into a per-thread `[k, window]`
@@ -188,20 +323,18 @@ fn col2im_gemm(
     let k = c * spec.kernel_h * spec.kernel_w;
     let item_cols = oh * ow;
     let ncols = n * item_cols;
-    // Items per GEMM window: enough that the window is at least KC columns.
-    let group = KC.div_ceil(item_cols.max(1)).min(n).max(1);
-    let windows = n.div_ceil(group);
+    let (group, windows) = item_windows(n, item_cols);
     let plane = h * w;
     let dst_len = dst.len();
     let base = pool::SendPtr::new(dst.as_mut_ptr());
     // Wᵀ is read in place through swapped strides.
     let wt = MatRef::row_major(weight, rows, k).t();
 
-    let run_window = move |t: usize| {
+    for_each_window(windows, k * rows * ncols, move |t| {
         let b0 = t * group;
         let items = group.min(n - b0);
         let win = items * item_cols;
-        DCOLS_WINDOW.with(|cell| {
+        WINDOW.with(|cell| {
             let mut dcols = cell.borrow_mut();
             // Fully overwritten by the GEMM: no need to clear.
             dcols.resize(k * win, 0.0);
@@ -222,16 +355,7 @@ fn col2im_gemm(
                 }
             }
         });
-    };
-
-    if windows == 1 || k * rows * ncols < PARALLEL_THRESHOLD || pool::effective_threads() <= 1 {
-        // On the caller thread, each window's GEMM can use the pool itself.
-        for t in 0..windows {
-            run_window(t);
-        }
-    } else {
-        pool::parallel_for(windows, run_window);
-    }
+    });
 }
 
 #[cfg(test)]
@@ -239,7 +363,7 @@ mod tests {
     use super::*;
     use crate::rng::{Rng, SeedableRng};
     use crate::simd::{detect_level, with_level};
-    use crate::{col2im, gemm};
+    use crate::{col2im, gemm, im2col};
 
     fn random_vec(len: usize, seed: u64) -> Vec<f32> {
         let mut rng = crate::rng::StdRng::seed_from_u64(seed);
@@ -276,12 +400,13 @@ mod tests {
         let ncols = n * oh * ow;
         let weight = random_vec(out_c * k, seed);
         let dy = random_vec(out_c * ncols, seed + 1);
-        let cols = random_vec(k * ncols, seed + 2);
+        let x = Tensor::from_vec(random_vec(n * c * h * w, seed + 2), &dims).unwrap();
+        let cols = im2col(&x, &spec).unwrap();
 
-        let (dw_ref, dx_ref) = unfused(&weight, &dy, &cols, &spec, dims, out_c, k, ncols);
+        let (dw_ref, dx_ref) = unfused(&weight, &dy, cols.as_slice(), &spec, dims, out_c, k, ncols);
         let mut dw = vec![f32::NAN; out_c * k];
         let mut dx = Tensor::full(&dims, f32::NAN);
-        conv_backward_fused(&weight, &dy, &cols, &mut dw, &mut dx, &spec, out_c).unwrap();
+        conv_backward_fused(&weight, &dy, &x, &mut dw, &mut dx, &spec, out_c).unwrap();
         assert_eq!(dw, dw_ref, "dw fused vs unfused");
         assert_eq!(dx.as_slice(), dx_ref.as_slice(), "dx fused vs unfused");
     }
@@ -341,15 +466,11 @@ mod tests {
         let mut dx = Tensor::zeros(&[1, 1, 4, 4]);
         let mut dw = vec![0.0; 9];
         // dy too short for out_c=1, ncols=16.
-        assert!(conv_backward_fused(
-            &[0.0; 9],
-            &[0.0; 8],
-            &vec![0.0; 9 * 16],
-            &mut dw,
-            &mut dx,
-            &spec,
-            1
-        )
-        .is_err());
+        let x = Tensor::zeros(&[1, 1, 4, 4]);
+        assert!(conv_backward_fused(&[0.0; 9], &[0.0; 8], &x, &mut dw, &mut dx, &spec, 1).is_err());
+        // dx must have the input's shape.
+        let mut dx = Tensor::zeros(&[1, 1, 4, 5]);
+        let err = conv_backward_fused(&[0.0; 9], &[0.0; 16], &x, &mut dw, &mut dx, &spec, 1);
+        assert!(err.is_err());
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! `im2col` unrolls each receptive field of an NCHW image into one column of
 //! a matrix so that convolution becomes a single GEMM; `col2im` is its
-//! adjoint (scatter-add). The layers run the adjoint through
-//! `crate::fused`, which scatters in `col2im`'s exact order without
-//! materialising the column matrix; `col2im` is its reference.
+//! adjoint (scatter-add). The layers store neither matrix: the GEMM packs
+//! its panels straight from the image through [`Im2ColImage`] (the
+//! [`crate::MatRef::im2col`] view), and `crate::fused` scatters in
+//! `col2im`'s exact order from per-item windows. [`im2col`] and [`col2im`]
+//! stay as the references both are checked against.
 //!
 //! Both directions run on the shared worker pool over disjoint regions —
 //! matrix rows for `im2col`, image channels for `col2im` — and use a
@@ -109,15 +111,16 @@ pub(crate) fn valid_range(off: isize, stride: usize, len: usize, count: usize) -
 /// channel `c`, position `(oy*stride - pad + ky, ox*stride - pad + kx)` of
 /// batch item `b`, or zero when that position falls in the padding.
 ///
+/// The layers never build this matrix: the GEMM packs its panels straight
+/// from the image ([`crate::MatRef::im2col`]). It stays as the reference
+/// those panels are checked against.
+///
 /// # Errors
 ///
 /// Returns an error if `input` is not rank 4 or the geometry is invalid.
 pub fn im2col(input: &Tensor, spec: &Im2ColSpec) -> Result<Tensor> {
-    let [n, c, h, w] = input.shape().as_nchw()?;
-    let (oh, ow) = spec.output_size(h, w)?;
-    let rows = c * spec.kernel_h * spec.kernel_w;
-    let cols = n * oh * ow;
-    let mut out = Tensor::zeros(&[rows, cols]);
+    let image = Im2ColImage::new(input, spec)?;
+    let mut out = Tensor::zeros(&[image.rows(), image.cols()]);
     im2col_into(input, spec, &mut out)?;
     Ok(out)
 }
@@ -131,17 +134,14 @@ pub fn im2col(input: &Tensor, spec: &Im2ColSpec) -> Result<Tensor> {
 /// Returns an error if `input` is not rank 4, the geometry is invalid, or
 /// `out` has the wrong shape.
 pub fn im2col_into(input: &Tensor, spec: &Im2ColSpec, out: &mut Tensor) -> Result<()> {
-    let [n, c, h, w] = input.shape().as_nchw()?;
-    let (oh, ow) = spec.output_size(h, w)?;
-    let rows = c * spec.kernel_h * spec.kernel_w;
-    let cols = n * oh * ow;
+    let image = Im2ColImage::new(input, spec)?;
+    let (rows, cols) = (image.rows(), image.cols());
     if out.dims() != [rows, cols] {
         return Err(TensorError::ShapeMismatch {
             left: out.dims().to_vec(),
             right: vec![rows, cols],
         });
     }
-    let src = input.as_slice();
     let dst = out.as_mut_slice();
     if rows * cols == 0 {
         return Ok(());
@@ -150,51 +150,189 @@ pub fn im2col_into(input: &Tensor, spec: &Im2ColSpec, out: &mut Tensor) -> Resul
         || format!("im2col[{rows}x{cols}]"),
         crate::profile::KernelCost::im2col(rows, cols),
     );
-
-    let fill_row = |row: usize, dst_row: &mut [f32]| {
-        let taps = spec.kernel_h * spec.kernel_w;
-        let ci = row / taps;
-        let ky = (row % taps) / spec.kernel_w;
-        let kx = row % spec.kernel_w;
-        let off_x = kx as isize - spec.pad_w as isize;
-        let (ox_lo, ox_hi) = valid_range(off_x, spec.stride_w, w, ow);
-        for b in 0..n {
-            let src_plane = (b * c + ci) * h * w;
-            for oy in 0..oh {
-                let iy = (oy * spec.stride_h + ky) as isize - spec.pad_h as isize;
-                let seg = &mut dst_row[(b * oh + oy) * ow..(b * oh + oy + 1) * ow];
-                if iy < 0 || iy >= h as isize {
-                    seg.fill(0.0);
-                    continue;
-                }
-                seg[..ox_lo].fill(0.0);
-                seg[ox_hi..].fill(0.0);
-                if ox_lo >= ox_hi {
-                    continue;
-                }
-                let src_row = src_plane + iy as usize * w;
-                let base_ix = (ox_lo * spec.stride_w) as isize + off_x;
-                let start = src_row + base_ix as usize;
-                if spec.stride_w == 1 {
-                    // Contiguous interior: one memcpy per output row.
-                    seg[ox_lo..ox_hi].copy_from_slice(&src[start..start + (ox_hi - ox_lo)]);
-                } else {
-                    for (idx, v) in seg[ox_lo..ox_hi].iter_mut().enumerate() {
-                        *v = src[start + idx * spec.stride_w];
-                    }
-                }
-            }
-        }
-    };
-
+    let first = image.position(0);
+    let fill_row = |row: usize, dst: &mut [f32]| image.run(image.tap(row), first, cols, dst, 1);
     if rows * cols < PARALLEL_THRESHOLD || pool::effective_threads() <= 1 {
         for (row, dst_row) in dst.chunks_mut(cols).enumerate() {
             fill_row(row, dst_row);
         }
     } else {
-        pool::parallel_for_chunks(dst, cols, |row, dst_row| fill_row(row, dst_row));
+        pool::parallel_for_chunks(dst, cols, fill_row);
     }
     Ok(())
+}
+
+/// An NCHW image read as its `[c*kh*kw, n*oh*ow]` im2col matrix, which is
+/// never stored: [`Im2ColImage::run`] reads any run of one of its rows
+/// straight from the image.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Im2ColImage<'a> {
+    data: &'a [f32],
+    /// `[n, c, h, w]` of the image.
+    dims: [usize; 4],
+    spec: Im2ColSpec,
+    /// Output map size: the matrix has `n * oh * ow` columns.
+    out_hw: (usize, usize),
+}
+
+/// A row of the im2col matrix: kernel tap `(ci, ky, kx)`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Tap {
+    ci: usize,
+    ky: usize,
+    kx: usize,
+}
+
+/// A column of the im2col matrix: output position `(item, oy, ox)`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Position {
+    item: usize,
+    oy: usize,
+    ox: usize,
+}
+
+impl<'a> Im2ColImage<'a> {
+    /// The im2col matrix of `image` under `spec`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `image` is not rank 4 or the geometry is invalid.
+    pub(crate) fn new(image: &'a Tensor, spec: &Im2ColSpec) -> Result<Self> {
+        let dims = image.shape().as_nchw()?;
+        let out_hw = spec.output_size(dims[2], dims[3])?;
+        Ok(Im2ColImage {
+            data: image.as_slice(),
+            dims,
+            spec: *spec,
+            out_hw,
+        })
+    }
+
+    /// `[n, c, h, w]` of the image.
+    pub(crate) fn dims(&self) -> [usize; 4] {
+        self.dims
+    }
+
+    /// Output map size `(oh, ow)`.
+    pub(crate) fn out_hw(&self) -> (usize, usize) {
+        self.out_hw
+    }
+
+    /// Matrix rows: one per kernel tap, `c * kh * kw`.
+    pub(crate) fn rows(&self) -> usize {
+        self.dims[1] * self.spec.kernel_h * self.spec.kernel_w
+    }
+
+    /// Matrix columns: one per output position, `n * oh * ow`.
+    pub(crate) fn cols(&self) -> usize {
+        self.dims[0] * self.out_hw.0 * self.out_hw.1
+    }
+
+    /// Row `row`'s tap.
+    pub(crate) fn tap(&self, row: usize) -> Tap {
+        let (kh, kw) = (self.spec.kernel_h, self.spec.kernel_w);
+        Tap {
+            ci: row / (kh * kw),
+            ky: row % (kh * kw) / kw,
+            kx: row % kw,
+        }
+    }
+
+    /// The tap of the row after `tap`'s, without a division.
+    pub(crate) fn next_tap(&self, mut tap: Tap) -> Tap {
+        tap.kx += 1;
+        if tap.kx == self.spec.kernel_w {
+            tap.kx = 0;
+            tap.ky += 1;
+            if tap.ky == self.spec.kernel_h {
+                tap.ky = 0;
+                tap.ci += 1;
+            }
+        }
+        tap
+    }
+
+    /// Column `col`'s output position.
+    pub(crate) fn position(&self, col: usize) -> Position {
+        let (oh, ow) = self.out_hw;
+        let (item, pos) = (col / (oh * ow), col % (oh * ow));
+        Position {
+            item,
+            oy: pos / ow,
+            ox: pos % ow,
+        }
+    }
+
+    /// Writes `len` consecutive elements of `tap`'s row, starting at
+    /// column `from`, to `dst[i * stride]`. The run is walked one output
+    /// row `(item, oy)` at a time, with no division: rows in the vertical
+    /// padding and the ends of a row in the horizontal padding are zero
+    /// fills, the rest is a strided gather (a copy at unit strides). This
+    /// is what packing a GEMM panel costs, in either orientation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run leaves the matrix or `dst` is too short.
+    pub(crate) fn run(&self, tap: Tap, from: Position, len: usize, dst: &mut [f32], stride: usize) {
+        let [n, c, h, w] = self.dims;
+        let (oh, ow) = self.out_hw;
+        let spec = &self.spec;
+        assert!(tap.ci < c, "im2col row outside the matrix");
+        let off_x = tap.kx as isize - spec.pad_w as isize;
+        let ix = |ox: usize| (ox * spec.stride_w) as isize + off_x;
+        let zero = |dst: &mut [f32], at: usize, n: usize| {
+            if stride == 1 {
+                dst[at..at + n].fill(0.0);
+            } else {
+                (at..at + n).for_each(|i| dst[i * stride] = 0.0);
+            }
+        };
+        let Position {
+            mut item,
+            mut oy,
+            mut ox,
+        } = from;
+        let mut at = 0;
+        while at < len {
+            assert!(item < n, "im2col run outside the matrix");
+            let run = (ow - ox).min(len - at);
+            let iy = (oy * spec.stride_h + tap.ky) as isize - spec.pad_h as isize;
+            // Valid columns of this output row: ox + [lo, hi). Trimming the
+            // padding off both ends steps at most the padding's width.
+            let (mut lo, mut hi) = (0, 0);
+            if (0..h as isize).contains(&iy) {
+                hi = run;
+                while lo < hi && ix(ox + lo) < 0 {
+                    lo += 1;
+                }
+                while hi > lo && ix(ox + hi - 1) >= w as isize {
+                    hi -= 1;
+                }
+            }
+            zero(dst, at, lo);
+            if lo < hi {
+                let row = ((item * c + tap.ci) * h + iy as usize) * w;
+                let start = row + ix(ox + lo) as usize;
+                let count = hi - lo;
+                let src = &self.data[start..start + (count - 1) * spec.stride_w + 1];
+                if stride == 1 && spec.stride_w == 1 {
+                    dst[at + lo..at + hi].copy_from_slice(src);
+                } else {
+                    for (i, &v) in src.iter().step_by(spec.stride_w).enumerate() {
+                        dst[(at + lo + i) * stride] = v;
+                    }
+                }
+            }
+            zero(dst, at + hi, run - hi);
+            at += run;
+            ox = 0;
+            oy += 1;
+            if oy == oh {
+                oy = 0;
+                item += 1;
+            }
+        }
+    }
 }
 
 /// Adjoint of [`im2col`]: scatter-adds a `[c*kh*kw, n*oh*ow]` matrix back

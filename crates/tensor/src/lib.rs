@@ -10,8 +10,9 @@
 //!   persistent [`pool`] worker pool.
 //! * [`pool`] — the process-wide worker pool shared by every parallel
 //!   kernel (`--threads` / `LITHO_THREADS` control its size).
-//! * [`im2col`] — the im2col/col2im lowering used by convolution and
-//!   transposed convolution layers.
+//! * [`im2col`] — the im2col/col2im lowering behind convolution and
+//!   transposed convolution; the layers read im2col as a [`MatRef::im2col`]
+//!   view that the GEMM packs straight from the image.
 //! * [`fft`] — radix-2 complex FFT (1-D and 2-D) used by the partially
 //!   coherent optical model for fast kernel convolution.
 //! * [`ops`] — spatial helpers (pad, crop, shift, flip, bilinear resize).
@@ -58,9 +59,9 @@ pub use alloc::{allocated_bytes, note_workspace_bytes, peak_workspace_bytes, res
 pub use error::TensorError;
 pub use fft::Complex;
 pub use fnv::Fnv1a;
-pub use fused::{conv_backward_fused, conv_transpose_fused};
+pub use fused::{conv_backward_fused, conv_forward_fused, conv_transpose_fused};
 pub use im2col::{col2im, im2col, im2col_into, Im2ColSpec};
-pub use matmul::{gemm, matmul, matmul_transpose_a, matmul_transpose_b, MatRef};
+pub use matmul::{gemm, matmul, matmul_transpose_a, matmul_transpose_b, packed_panels, MatRef};
 pub use shape::Shape;
 pub use simd::{active_level, configure_simd, detect_level, parse_level, with_level, KernelLevel};
 pub use tensor::Tensor;

@@ -5,7 +5,10 @@
 //! hottest kernel in the reproduction. Operands are [`MatRef`] descriptors
 //! `(data, rows, cols, row_stride, col_stride)`: a transpose is swapped
 //! strides and a column window of a wider matrix is a row stride larger
-//! than its width, so no caller ever materialises a transposed copy.
+//! than its width, so no caller ever materialises a transposed copy. An
+//! operand can also be the im2col matrix of an NCHW image
+//! ([`MatRef::im2col`]): `pack` gathers its micro-panels straight from the
+//! image, in either orientation, so no caller materialises that either.
 //!
 //! Loop nest (`jc / pc / ic / jr / ir`):
 //!
@@ -32,6 +35,7 @@
 
 use std::cell::RefCell;
 
+use crate::im2col::{Im2ColImage, Im2ColSpec};
 use crate::pool;
 use crate::simd::KernelLevel;
 use crate::{Result, Tensor, TensorError};
@@ -62,8 +66,9 @@ thread_local! {
     static PANELS: RefCell<[Vec<f32>; 2]> = const { RefCell::new([Vec::new(), Vec::new()]) };
 }
 
-/// A read-only strided matrix view: element `(i, j)` is
-/// `data[i * row_stride + j * col_stride]`.
+/// A read-only matrix view: a strided window of a slice, element `(i, j)`
+/// at `data[i * row_stride + j * col_stride]`, or an im2col matrix read
+/// straight from its NCHW image ([`MatRef::im2col`]).
 ///
 /// # Example
 ///
@@ -78,11 +83,28 @@ thread_local! {
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct MatRef<'a> {
-    data: &'a [f32],
     rows: usize,
     cols: usize,
-    row_stride: usize,
-    col_stride: usize,
+    source: Source<'a>,
+}
+
+/// Where a [`MatRef`]'s elements live.
+#[derive(Clone, Copy, Debug)]
+enum Source<'a> {
+    /// Element `(i, j)` is `data[i * row_stride + j * col_stride]`.
+    Strided {
+        data: &'a [f32],
+        row_stride: usize,
+        col_stride: usize,
+    },
+    /// Element `(i, j)` is element `(tap0 + i, col0 + j)` of the image's
+    /// im2col matrix, or `(tap0 + j, col0 + i)` when `transposed`.
+    Im2Col {
+        image: Im2ColImage<'a>,
+        tap0: usize,
+        col0: usize,
+        transposed: bool,
+    },
 }
 
 impl<'a> MatRef<'a> {
@@ -103,11 +125,13 @@ impl<'a> MatRef<'a> {
             assert!(last < data.len(), "matrix view exceeds its data");
         }
         MatRef {
-            data,
             rows,
             cols,
-            row_stride,
-            col_stride,
+            source: Source::Strided {
+                data,
+                row_stride,
+                col_stride,
+            },
         }
     }
 
@@ -121,30 +145,79 @@ impl<'a> MatRef<'a> {
         MatRef::new(data, rows, cols, cols, 1)
     }
 
-    /// The transpose: swapped dimensions and strides, no copy.
-    pub fn t(self) -> Self {
+    /// The `[c*kh*kw, n*oh*ow]` im2col matrix of the NCHW `image`
+    /// ([`crate::im2col`]'s layout), never materialised: the GEMM packs
+    /// its micro-panels straight from the image, bit-identical to packing
+    /// the stored matrix.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `image` is not rank 4 or the geometry is invalid.
+    pub fn im2col(image: &'a Tensor, spec: &Im2ColSpec) -> Result<Self> {
+        Ok(MatRef::from_image(Im2ColImage::new(image, spec)?))
+    }
+
+    pub(crate) fn from_image(image: Im2ColImage<'a>) -> Self {
         MatRef {
-            rows: self.cols,
-            cols: self.rows,
-            row_stride: self.col_stride,
-            col_stride: self.row_stride,
-            ..self
+            rows: image.rows(),
+            cols: image.cols(),
+            source: Source::Im2Col {
+                image,
+                tap0: 0,
+                col0: 0,
+                transposed: false,
+            },
         }
     }
 
-    /// The `rows x cols` sub-block starting at `(r0, c0)`.
-    fn block(self, r0: usize, rows: usize, c0: usize, cols: usize) -> Self {
-        let data = if rows == 0 || cols == 0 {
-            &[]
-        } else {
-            &self.data[r0 * self.row_stride + c0 * self.col_stride..]
-        };
-        MatRef {
-            data,
-            rows,
-            cols,
-            ..self
+    /// The transpose: swapped dimensions and strides, no copy.
+    pub fn t(mut self) -> Self {
+        match &mut self.source {
+            Source::Strided {
+                row_stride,
+                col_stride,
+                ..
+            } => std::mem::swap(row_stride, col_stride),
+            Source::Im2Col { transposed, .. } => *transposed = !*transposed,
         }
+        std::mem::swap(&mut self.rows, &mut self.cols);
+        self
+    }
+
+    /// The `rows x cols` sub-block starting at `(r0, c0)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block reaches outside the matrix.
+    pub fn block(mut self, r0: usize, rows: usize, c0: usize, cols: usize) -> Self {
+        assert!(
+            r0 + rows <= self.rows && c0 + cols <= self.cols,
+            "block outside the matrix"
+        );
+        match &mut self.source {
+            Source::Strided {
+                data,
+                row_stride,
+                col_stride,
+            } => {
+                *data = if rows == 0 || cols == 0 {
+                    &[]
+                } else {
+                    &data[r0 * *row_stride + c0 * *col_stride..]
+                };
+            }
+            Source::Im2Col {
+                tap0,
+                col0,
+                transposed,
+                ..
+            } => {
+                let (dt, dc) = if *transposed { (c0, r0) } else { (r0, c0) };
+                *tap0 += dt;
+                *col0 += dc;
+            }
+        }
+        MatRef { rows, cols, ..self }
     }
 }
 
@@ -371,7 +444,8 @@ unsafe fn gemm_nest(
 /// `[panel][col][row]`, zero-padding the last panel. A micro-panel is what
 /// one micro-kernel step reads contiguously: `width` values per reduction
 /// index. B blocks are packed through their transpose, so both operands
-/// share this routine.
+/// share this routine. An im2col source is gathered from its image
+/// directly, into the same values the stored matrix would pack to.
 fn pack(src: MatRef<'_>, width: usize, dst: &mut Vec<f32>) {
     let (rows, depth) = (src.rows, src.cols);
     let len = rows.div_ceil(width) * width * depth;
@@ -383,28 +457,80 @@ fn pack(src: MatRef<'_>, width: usize, dst: &mut Vec<f32>) {
     }
     for (i, panel) in dst[..len].chunks_exact_mut(width * depth).enumerate() {
         let (r0, valid) = (i * width, width.min(rows - i * width));
-        if src.row_stride == 1 {
-            // Panel rows are adjacent in memory: copy `valid` per column.
-            for (p, dst) in panel.chunks_exact_mut(width).enumerate() {
-                let at = r0 + p * src.col_stride;
-                dst[..valid].copy_from_slice(&src.data[at..at + valid]);
-                dst[valid..].fill(0.0);
+        match src.source {
+            Source::Strided {
+                data,
+                row_stride: 1,
+                col_stride,
+            } => {
+                // Panel rows are adjacent in memory: copy `valid` per column.
+                for (p, dst) in panel.chunks_exact_mut(width).enumerate() {
+                    let at = r0 + p * col_stride;
+                    dst[..valid].copy_from_slice(&data[at..at + valid]);
+                    dst[valid..].fill(0.0);
+                }
             }
-        } else {
-            for r in 0..width {
-                if r < valid {
-                    let row = (r0 + r) * src.row_stride;
+            Source::Strided {
+                data,
+                row_stride,
+                col_stride,
+            } => {
+                for r in 0..valid {
+                    let row = (r0 + r) * row_stride;
                     for p in 0..depth {
-                        panel[p * width + r] = src.data[row + p * src.col_stride];
-                    }
-                } else {
-                    for p in 0..depth {
-                        panel[p * width + r] = 0.0;
+                        panel[p * width + r] = data[row + p * col_stride];
                     }
                 }
+                zero_rows(panel, width, valid);
+            }
+            Source::Im2Col {
+                image,
+                tap0,
+                col0,
+                transposed: true,
+            } => {
+                // Each step is `valid` consecutive positions of one tap.
+                let (from, mut tap) = (image.position(col0 + r0), image.tap(tap0));
+                for dst in panel.chunks_exact_mut(width) {
+                    image.run(tap, from, valid, dst, 1);
+                    dst[valid..].fill(0.0);
+                    tap = image.next_tap(tap);
+                }
+            }
+            Source::Im2Col {
+                image,
+                tap0,
+                col0,
+                transposed: false,
+            } => {
+                // Each panel row is one tap over the `depth` positions.
+                let (from, mut tap) = (image.position(col0), image.tap(tap0 + r0));
+                for r in 0..valid {
+                    image.run(tap, from, depth, &mut panel[r..], width);
+                    tap = image.next_tap(tap);
+                }
+                zero_rows(panel, width, valid);
             }
         }
     }
+}
+
+/// Zeroes rows `valid..width` of a `[depth][width]` micro-panel.
+fn zero_rows(panel: &mut [f32], width: usize, valid: usize) {
+    for dst in panel.chunks_exact_mut(width) {
+        dst[valid..].fill(0.0);
+    }
+}
+
+/// The micro-panels [`gemm`] packs `src` into for its micro-kernel at
+/// `width` rows per panel (6 for A blocks, 16 for transposed B blocks),
+/// exposed for the packing oracles.
+#[doc(hidden)]
+pub fn packed_panels(src: MatRef<'_>, width: usize) -> Vec<f32> {
+    let mut dst = Vec::new();
+    pack(src, width, &mut dst);
+    dst.truncate(src.rows.div_ceil(width) * width * src.cols);
+    dst
 }
 
 /// One `rows x cols` (at most `MR x NR`) window of C.

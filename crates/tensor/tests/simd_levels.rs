@@ -187,7 +187,7 @@ fn fused_backward_at(
     level: KernelLevel,
     weight: &[f32],
     dy: &[f32],
-    cols: &[f32],
+    input: &Tensor,
     dims: &[usize; 4],
     spec: &Im2ColSpec,
     out_c: usize,
@@ -196,7 +196,7 @@ fn fused_backward_at(
     let mut dw = vec![0.0f32; out_c * k];
     let mut dx = Tensor::zeros(dims);
     with_level(level, || {
-        conv_backward_fused(weight, dy, cols, &mut dw, &mut dx, spec, out_c).unwrap();
+        conv_backward_fused(weight, dy, input, &mut dw, &mut dx, spec, out_c).unwrap();
     });
     (dw, dx)
 }
@@ -217,7 +217,6 @@ fn fused_conv_backward_tiers_hold() {
         let ncols = n * oh * ow;
 
         let x = tensor(&mut rng, dims);
-        let cols = im2col(&x, spec).unwrap();
         let weight = vals(&mut rng, out_c * k);
         let dy = vals(&mut rng, out_c * ncols);
 
@@ -225,7 +224,7 @@ fn fused_conv_backward_tiers_hold() {
             KernelLevel::Scalar,
             &weight,
             &dy,
-            cols.as_slice(),
+            &x,
             dims,
             spec,
             *out_c,
@@ -235,7 +234,7 @@ fn fused_conv_backward_tiers_hold() {
             KernelLevel::Avx2,
             &weight,
             &dy,
-            cols.as_slice(),
+            &x,
             dims,
             spec,
             *out_c,
@@ -411,7 +410,6 @@ fn tiers_hold_across_thread_counts() {
     let (oh, ow) = spec.output_size(dims[2], dims[3]).unwrap();
     let ncols = dims[0] * oh * ow;
     let x = tensor(&mut rng, &dims);
-    let cols = im2col(&x, &spec).unwrap();
     let weight = vals(&mut rng, out_c * kk);
     let dy = vals(&mut rng, out_c * ncols);
 
@@ -421,7 +419,7 @@ fn tiers_hold_across_thread_counts() {
             pool::configure_threads(1);
             let mm = with_level(l, || matmul(&a, &b).unwrap());
             let (dw, dx) =
-                fused_backward_at(l, &weight, &dy, cols.as_slice(), &dims, &spec, out_c, kk);
+                fused_backward_at(l, &weight, &dy, &x, &dims, &spec, out_c, kk);
             (l, mm, dw, dx)
         })
         .collect();
@@ -435,7 +433,7 @@ fn tiers_hold_across_thread_counts() {
                 "matmul at {l:?} not thread-invariant ({threads} threads)"
             );
             let (dw, dx) =
-                fused_backward_at(*l, &weight, &dy, cols.as_slice(), &dims, &spec, out_c, kk);
+                fused_backward_at(*l, &weight, &dy, &x, &dims, &spec, out_c, kk);
             assert_eq!(
                 &dx, dx_ref,
                 "fused dx at {l:?} not thread-invariant ({threads} threads)"

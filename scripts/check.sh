@@ -55,6 +55,14 @@ echo "==> dataset bytes independent of the thread count"
 "$cli" --no-run --threads 2 generate --clips 4 --size 32 --out "$work/threads2.lgd"
 cmp "$work/threads1.lgd" "$work/threads2.lgd"
 
+echo "==> model bytes independent of the thread count"
+# Training runs the windowed convolution kernels on the worker pool; each
+# element's fold must not depend on the pool width.
+"$cli" --no-run generate --clips 6 --size 32 --out "$work/train6.lgd"
+"$cli" --no-run --threads 1 train --data "$work/train6.lgd" --epochs 1 --seed 1 --out "$work/threads1.lgm"
+"$cli" --no-run --threads 2 train --data "$work/train6.lgd" --epochs 1 --seed 1 --out "$work/threads2.lgm"
+cmp "$work/threads1.lgm" "$work/threads2.lgm"
+
 echo "==> run ledger + metric regression gate"
 "$cli" --runs-root "$work/runs" generate --clips 12 --size 32 --out "$work/data.lgd"
 "$cli" --runs-root "$work/runs" train --data "$work/data.lgd" --epochs 2 --seed 1 --health --out "$work/model.lgm"
@@ -64,8 +72,6 @@ test -s "$work/runs/$run/dashboard.svg"
 "$cli" --runs-root "$work/runs" compare "$run" --gate ci/baseline.json
 
 echo "==> compute-plane profile"
-# grep without -q reads to EOF: -q exits at first match and the CLI
-# panics on EPIPE mid-table.
 "$cli" --runs-root "$work/runs" profile "$run" --top 10 | grep "self-time attribution" > /dev/null
 test -s "$work/runs/$run/flamegraph.svg"
 test -s "$work/runs/$run/flamegraph.folded"
