@@ -19,7 +19,10 @@
 //! The acceptance bar is < 2%; the process exits nonzero past it so
 //! the check can run as a manual gate.
 //!
-//! Flags: `--samples=N` (interleaved rounds, default 15), `--quick`.
+//! Flags ([`MicroBench::parse`]): `--samples=N` (interleaved rounds,
+//! default 15), `--quick` (halves them, at least 5). The harness's other
+//! flags are accepted and have no effect here; any other argument, or a
+//! count that is not a number, exits 1 before the bench runs.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -28,6 +31,7 @@ use litho_nn::{Conv2d, Layer, Phase};
 use litho_tensor::rng::{Rng, SeedableRng, StdRng};
 use litho_tensor::Tensor;
 use litho_telemetry::Value;
+use lithogan_bench::microbench::MicroBench;
 
 /// Emissions per timed batch: large enough that one batch spans
 /// milliseconds (timer granularity is irrelevant), small enough that
@@ -50,15 +54,7 @@ fn emit_batch() -> f64 {
 }
 
 fn main() {
-    let mut rounds = 15usize;
-    for arg in std::env::args().skip(1) {
-        if let Some(v) = arg.strip_prefix("--samples=") {
-            rounds = v.parse().expect("--samples=N");
-        } else if arg == "--quick" {
-            rounds = (rounds / 2).max(5);
-        }
-    }
-    rounds = rounds.max(1);
+    let rounds = MicroBench::from_args().samples().max(1);
 
     let path = std::env::temp_dir().join(format!("flight-overhead-{}.jsonl", std::process::id()));
     match litho_telemetry::JsonlSink::create(&path) {

@@ -169,6 +169,11 @@ impl MicroBench {
         })
     }
 
+    /// Timed samples per bench (`--samples=N`, halved by `--quick`).
+    pub fn samples(&self) -> usize {
+        self.samples
+    }
+
     /// Explicit `--json-out` destination (tests; CLIs use [`Self::from_args`]).
     pub fn with_json_out(mut self, path: impl Into<PathBuf>) -> Self {
         self.json_out = Some(path.into());

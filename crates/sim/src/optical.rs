@@ -1,19 +1,29 @@
 use litho_tensor::fft::{fft2_in_place, FftDirection};
-use litho_tensor::{pool, Complex, Result, TensorError};
+use litho_tensor::{active_level, pool, with_level, Complex, Result, TensorError};
 
-use crate::kernels::build_kernels;
+use crate::kernels::{build_kernels, OpticalKernel};
 use crate::{AerialImage, MaskGrid, ProcessConfig};
 
 /// A partially coherent optical imaging model at a fixed defocus.
 ///
 /// Holds the pre-transformed SOCS kernel spectra for a fixed grid
 /// geometry, so imaging a mask costs one forward FFT of the mask plus one
-/// inverse FFT per kernel. Several models on one grid (a focus stack) can
-/// share the mask's forward transform: [`crate::RigorousSim`] transforms
-/// each mask once and images that spectrum through every model. The
-/// kernels run in order and the weighted intensity folds in kernel order,
-/// so the image is bit-identical at any thread count (a large grid's
-/// transforms split over the worker pool, see `litho_tensor::fft`).
+/// inverse FFT per kernel spectrum. Several models on one grid (a focus
+/// stack) can share the mask's forward transform: [`crate::RigorousSim`]
+/// transforms each mask once and images that spectrum through every
+/// model. The spectra run in order and the weighted intensity folds in
+/// kernel order, so the image is bit-identical at any thread count (a
+/// large grid's transforms split over the worker pool, see
+/// `litho_tensor::fft`).
+///
+/// When every kernel is real in space (best focus, where the defocus
+/// phase vanishes) the kernels are paired: consecutive kernels `k_j` and
+/// `k_{j+1}` share one spectrum, the transform of `k_j + i·k_{j+1}`. The
+/// fields of a real mask through them are real too, so one inverse
+/// transform yields both, `a_j + i·a_{j+1}`, and a best-focus model costs
+/// half the inverse transforms and half the spectrum memory. An odd last
+/// kernel keeps a spectrum of its own, as does every kernel of a
+/// defocused (complex) model.
 ///
 /// The kernel count defaults to the process's *compact* rank; the rigorous
 /// facade ([`crate::RigorousSim`]) requests the higher rank explicitly.
@@ -22,8 +32,42 @@ pub struct OpticalModel {
     size: usize,
     pitch_nm: f64,
     defocus_nm: f64,
-    /// Frequency-domain kernels (precomputed FFTs) and their weights.
-    spectra: Vec<(f64, Vec<Complex>)>,
+    /// Frequency-domain kernels (precomputed FFTs), one per inverse
+    /// transform, in kernel order.
+    spectra: Vec<KernelSpectrum>,
+}
+
+/// The spectrum of one kernel `k_j`, or of a real pair `k_j + i·k_{j+1}`,
+/// with the kernels' eigenvalue weights.
+#[derive(Debug, Clone)]
+struct KernelSpectrum {
+    weight: f64,
+    /// `w_{j+1}` when the spectrum carries a real pair.
+    pair_weight: Option<f64>,
+    samples: Vec<Complex>,
+}
+
+impl KernelSpectrum {
+    fn single(kernel: OpticalKernel) -> Self {
+        KernelSpectrum {
+            weight: kernel.weight,
+            pair_weight: None,
+            samples: kernel.samples,
+        }
+    }
+
+    /// Packs two real kernels into one complex kernel `k_j + i·k_{j+1}`.
+    fn pair(first: OpticalKernel, second: OpticalKernel) -> Self {
+        let mut samples = first.samples;
+        for (s, k) in samples.iter_mut().zip(&second.samples) {
+            s.im = k.re;
+        }
+        KernelSpectrum {
+            weight: first.weight,
+            pair_weight: Some(second.weight),
+            samples,
+        }
+    }
 }
 
 impl OpticalModel {
@@ -63,15 +107,30 @@ impl OpticalModel {
                 "kernel count must be positive".into(),
             ));
         }
-        let mut spectra: Vec<(f64, Vec<Complex>)> =
-            build_kernels(process, size, pitch_nm, defocus_nm, kernel_count)
-                .into_iter()
-                .map(|k| (k.weight, k.samples))
-                .collect();
-        // The kernels transform independently, one pool task each.
+        let kernels = build_kernels(process, size, pitch_nm, defocus_nm, kernel_count);
+        // Pairing is exact only for real kernels: the FFT is linear, so the
+        // pair's spectrum is `K_j + i·K_{j+1}`, and a real mask's fields
+        // through real kernels come back as the real and imaginary parts.
+        let real = kernels
+            .iter()
+            .all(|k| k.samples.iter().all(|c| c.im == 0.0));
+        let mut spectra = Vec::with_capacity(kernels.len());
+        let mut kernels = kernels.into_iter();
+        while let Some(first) = kernels.next() {
+            let second = if real { kernels.next() } else { None };
+            spectra.push(match second {
+                Some(second) => KernelSpectrum::pair(first, second),
+                None => KernelSpectrum::single(first),
+            });
+        }
+        // The spectra transform independently, one pool task each, at the
+        // caller's kernel level (a `with_level` override is per thread).
+        let level = active_level();
         pool::parallel_for_chunks(&mut spectra, 1, |_, slot| {
-            fft2_in_place(&mut slot[0].1, size, size, FftDirection::Forward)
-                .expect("size validated as power of two");
+            with_level(level, || {
+                fft2_in_place(&mut slot[0].samples, size, size, FftDirection::Forward)
+            })
+            .expect("size validated as power of two");
         });
         Ok(OpticalModel {
             size,
@@ -98,7 +157,10 @@ impl OpticalModel {
 
     /// Number of coherent systems in the SOCS expansion.
     pub fn kernel_count(&self) -> usize {
-        self.spectra.len()
+        self.spectra
+            .iter()
+            .map(|s| 1 + usize::from(s.pair_weight.is_some()))
+            .sum()
     }
 
     /// Computes the aerial image of a mask: `I = Σ_j w_j |m ⊛ k_j|²`.
@@ -124,18 +186,31 @@ impl OpticalModel {
     }
 
     /// The imaging step shared by every model on a grid: one inverse FFT
-    /// of `spectrum ⊙ k_j` per kernel, folded into the intensity in kernel
-    /// order, `((0 + w_0·|a_0|²) + w_1·|a_1|²) + …`.
+    /// of `spectrum ⊙ K` per kernel spectrum, folded into the intensity in
+    /// kernel order, `((0 + w_0·|a_0|²) + w_1·|a_1|²) + …`. A paired
+    /// spectrum's field is `a_j + i·a_{j+1}`, and it folds as
+    /// `acc += w_j·re²; acc += w_{j+1}·im²`.
     pub(crate) fn image_spectrum(&self, spectrum: &[Complex]) -> Result<AerialImage> {
         let n = self.size;
         let mut field = Vec::with_capacity(n * n);
         let mut intensity = vec![0.0f64; n * n];
-        for (weight, spec) in &self.spectra {
+        for kernel in &self.spectra {
             field.clear();
-            field.extend(spectrum.iter().zip(spec).map(|(&m, &k)| m * k));
+            field.extend(spectrum.iter().zip(&kernel.samples).map(|(&m, &k)| m * k));
             fft2_in_place(&mut field, n, n, FftDirection::Inverse)?;
-            for (acc, a) in intensity.iter_mut().zip(&field) {
-                *acc += weight * a.norm_sqr();
+            let weight = kernel.weight;
+            match kernel.pair_weight {
+                None => {
+                    for (acc, a) in intensity.iter_mut().zip(&field) {
+                        *acc += weight * a.norm_sqr();
+                    }
+                }
+                Some(pair_weight) => {
+                    for (acc, a) in intensity.iter_mut().zip(&field) {
+                        *acc += weight * (a.re * a.re);
+                        *acc += pair_weight * (a.im * a.im);
+                    }
+                }
             }
         }
         AerialImage::from_raw(intensity, n, self.pitch_nm)
@@ -268,6 +343,106 @@ mod tests {
                 let minus = model(-d).aerial_image(&mask).unwrap();
                 for (a, b) in plus.as_slice().iter().zip(minus.as_slice()) {
                     assert!((a - b).abs() <= 1e-15, "{} {d}: {a} vs {b}", p.name);
+                }
+            }
+        }
+    }
+
+    /// The per-kernel imaging every model did before pairing: one
+    /// spectrum and one inverse transform per kernel, folded
+    /// `acc += w_j·|a_j|²` in kernel order.
+    fn reference_image(
+        p: &ProcessConfig,
+        mask: &MaskGrid,
+        defocus_nm: f64,
+        count: usize,
+    ) -> AerialImage {
+        let n = mask.size();
+        let spectrum = mask_spectrum(mask).unwrap();
+        let mut intensity = vec![0.0f64; n * n];
+        for k in build_kernels(p, n, mask.pitch_nm(), defocus_nm, count) {
+            let mut spec = k.samples;
+            fft2_in_place(&mut spec, n, n, FftDirection::Forward).unwrap();
+            let mut field: Vec<Complex> =
+                spectrum.iter().zip(&spec).map(|(&m, &s)| m * s).collect();
+            fft2_in_place(&mut field, n, n, FftDirection::Inverse).unwrap();
+            for (acc, a) in intensity.iter_mut().zip(&field) {
+                *acc += k.weight * a.norm_sqr();
+            }
+        }
+        AerialImage::from_raw(intensity, n, mask.pitch_nm()).unwrap()
+    }
+
+    /// A 2048 nm clip on a `size` grid: a centre contact, an off-centre
+    /// neighbour and a grey bar, so no image is symmetric.
+    fn clip_mask(size: usize) -> MaskGrid {
+        let mut mask = contact_mask(size, 2048.0 / size as f64, 60.0);
+        mask.fill_rect_nm(1100.0, 980.0, 1160.0, 1040.0, 1.0);
+        mask.fill_rect_nm(900.0, 1150.0, 940.0, 1250.0, 0.7);
+        mask
+    }
+
+    /// Pairing changes only the rounding: a best-focus model images like
+    /// the per-kernel reference within 1e-15 in clear-field units (the
+    /// tier of `opposite_defocus_models_image_a_real_mask_alike`), with an
+    /// odd last kernel left alone.
+    #[test]
+    fn paired_model_images_like_per_kernel_reference() {
+        use litho_tensor::KernelLevel;
+        for p in [ProcessConfig::n10(), ProcessConfig::n7()] {
+            for size in [64, 256] {
+                let mask = clip_mask(size);
+                for count in [4, 5, 10] {
+                    for level in [KernelLevel::Scalar, KernelLevel::Avx2] {
+                        with_level(level, || {
+                            let model =
+                                OpticalModel::with_settings(&p, size, mask.pitch_nm(), 0.0, count)
+                                    .unwrap();
+                            assert_eq!(model.kernel_count(), count);
+                            assert_eq!(model.spectra.len(), count.div_ceil(2));
+                            let got = model.aerial_image(&mask).unwrap();
+                            let want = reference_image(&p, &mask, 0.0, count);
+                            for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                                assert!(
+                                    (a - b).abs() <= 1e-15,
+                                    "{} {size}px {count}k {level:?}: {a} vs {b}",
+                                    p.name
+                                );
+                            }
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Defocused kernels are complex, so their models keep one spectrum
+    /// per kernel and image bit for bit like the reference.
+    #[test]
+    fn defocused_model_is_not_paired() {
+        use litho_tensor::KernelLevel;
+        let bits = |img: &AerialImage| {
+            img.as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        for p in [ProcessConfig::n10(), ProcessConfig::n7()] {
+            let mask = clip_mask(64);
+            for &d in p.focus_stack_nm.iter().filter(|d| **d != 0.0) {
+                for level in [KernelLevel::Scalar, KernelLevel::Avx2] {
+                    with_level(level, || {
+                        let model =
+                            OpticalModel::with_settings(&p, 64, mask.pitch_nm(), d, 5).unwrap();
+                        assert_eq!(model.kernel_count(), 5);
+                        assert_eq!(model.spectra.len(), 5);
+                        assert_eq!(
+                            bits(&model.aerial_image(&mask).unwrap()),
+                            bits(&reference_image(&p, &mask, d, 5)),
+                            "{} {d} {level:?}",
+                            p.name
+                        );
+                    });
                 }
             }
         }
