@@ -5,18 +5,18 @@
 //! need something that *acts* on it. `litho-alert` closes that gap
 //! with three pieces, all std-only like the rest of the workspace:
 //!
-//! * [`config`]: declarative alert rules (threshold, direction-aware
+//! * `config`: declarative alert rules (threshold, direction-aware
 //!   drift, health-verdict, stale-run) parsed from an `alerts.toml`
 //!   subset by hand — see [`parse_rules`] and [`default_rules`].
-//! * [`engine`]: one [`evaluate`] pass turns rules plus fleet state
+//! * `engine`: one [`evaluate`] pass turns rules plus fleet state
 //!   (the `runs/index.jsonl` records, run-directory activity, the
 //!   clock) into stateful alerts — pending → firing → resolved, with
 //!   first/last-seen stamps and a dedup [`fingerprint`].
-//! * [`record`]: the append-only `runs/alerts.jsonl` store, with the
+//! * `record`: the append-only `runs/alerts.jsonl` store, with the
 //!   same torn-tail-tolerant, last-wins replay semantics as the run
 //!   index.
 //!
-//! Surfaces live in [`render`]: the CLI table, the fleet-page HTML
+//! Surfaces live in `render`: the CLI table, the fleet-page HTML
 //! banner and the `lithogan_alerts_firing` Prometheus families.
 //!
 //! ```

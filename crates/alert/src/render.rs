@@ -5,7 +5,7 @@
 use std::fmt::Write as _;
 
 use litho_ledger::dash::escape_label;
-use litho_ledger::fmt_unix;
+use litho_ledger::{escape_markup, fmt_unix};
 
 use crate::config::AlertRule;
 use crate::record::{AlertRecord, AlertState};
@@ -68,20 +68,6 @@ pub fn render_transition(rec: &AlertRecord) -> String {
     )
 }
 
-fn escape_html(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
 /// The firing-alerts banner injected into the fleet HTML page. Empty
 /// string when nothing is active, so the page stays clean.
 pub fn alerts_html(active: &[AlertRecord]) -> String {
@@ -100,11 +86,11 @@ pub fn alerts_html(active: &[AlertRecord]) -> String {
             out,
             "<li class=\"alert-{}\"><b>{}</b> [{}] {} · {} — {}</li>",
             a.state.as_str(),
-            escape_html(a.rule.as_str()),
+            escape_markup(a.rule.as_str()),
             a.state.as_str(),
-            escape_html(&a.severity),
-            escape_html(&a.subject),
-            escape_html(&a.reason),
+            escape_markup(&a.severity),
+            escape_markup(&a.subject),
+            escape_markup(&a.reason),
         );
     }
     out.push_str("</ul></div>\n");

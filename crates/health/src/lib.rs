@@ -7,7 +7,7 @@
 //! * [`record`] — the `health.jsonl` schema written into `runs/<id>/`
 //!   during training: per-layer activation/gradient summaries, optimizer
 //!   update-to-weight ratios, and per-epoch GAN balance signals.
-//! * [`diagnose`] — six named failure modes (vanishing-gradient,
+//! * [`diagnose`](mod@diagnose) — six named failure modes (vanishing-gradient,
 //!   exploding-update, dead-layer, d-overpowers-g, mode-collapse,
 //!   nan-poisoned) with first-seen epoch/step attribution.
 //! * [`json`] — a re-export of `litho-json`, the workspace's shared

@@ -1,4 +1,4 @@
-//! Minimal PPM/PGM image writers for experiment visualisations (Figure 6
+//! A minimal PPM image writer for experiment visualisations (Figure 6
 //! and Figure 8 reproductions), dependency-free.
 
 use std::io::Write;
@@ -37,30 +37,6 @@ pub fn write_ppm<P: AsRef<Path>>(image: &Tensor, path: P) -> Result<()> {
         out.push(to_byte(data[plane + i]));
         out.push(to_byte(data[2 * plane + i]));
     }
-    let mut file = std::fs::File::create(path).map_err(io_err)?;
-    file.write_all(&out).map_err(io_err)
-}
-
-/// Writes a `[h, w]` or `[1, h, w]` tensor (values in `[0, 1]`) as a
-/// binary PGM file.
-///
-/// # Errors
-///
-/// Returns an error for other shapes, or on I/O failure.
-pub fn write_pgm<P: AsRef<Path>>(image: &Tensor, path: P) -> Result<()> {
-    let dims = image.dims();
-    let (h, w) = match dims {
-        [h, w] => (*h, *w),
-        [1, h, w] => (*h, *w),
-        _ => {
-            return Err(TensorError::InvalidArgument(format!(
-                "expected [h, w] or [1, h, w] image, got {dims:?}"
-            )))
-        }
-    };
-    let mut out = Vec::with_capacity(h * w + 32);
-    out.extend_from_slice(format!("P5\n{w} {h}\n255\n").as_bytes());
-    out.extend(image.as_slice().iter().map(|&v| to_byte(v)));
     let mut file = std::fs::File::create(path).map_err(io_err)?;
     file.write_all(&out).map_err(io_err)
 }
@@ -152,15 +128,6 @@ mod tests {
         assert!(bytes.starts_with(b"P6\n4 2\n255\n"));
         assert_eq!(bytes.len(), 11 + 2 * 4 * 3);
         assert_eq!(bytes[11], 128);
-    }
-
-    #[test]
-    fn pgm_accepts_both_shapes() {
-        let dir = std::env::temp_dir().join("lithogan_test_pgm");
-        std::fs::create_dir_all(&dir).unwrap();
-        write_pgm(&Tensor::zeros(&[4, 4]), dir.join("a.pgm")).unwrap();
-        write_pgm(&Tensor::zeros(&[1, 4, 4]), dir.join("b.pgm")).unwrap();
-        assert!(write_pgm(&Tensor::zeros(&[2, 4, 4]), dir.join("c.pgm")).is_err());
     }
 
     #[test]

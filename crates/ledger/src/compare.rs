@@ -443,8 +443,8 @@ pub fn gate(run: &RunData, baseline: &Baseline, tol_pct_override: Option<f64>) -
 }
 
 /// Gates `metrics` against every baseline metric by its [`Direction`]:
-/// a metric that [`Direction::regressed`] beyond the tolerance fails, and
-/// so does a baseline metric `metrics` does not report (a
+/// a metric that regressed beyond the tolerance in that direction fails,
+/// and so does a baseline metric `metrics` does not report (a
 /// silently-vanished metric is itself a regression). Constants produce
 /// no check. `tol_pct_override` takes precedence over the baseline
 /// file's tolerance.

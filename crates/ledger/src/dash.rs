@@ -21,6 +21,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::PathBuf;
 
+use crate::escape_markup;
 use crate::index::{scan_run_dirs, IndexRecord};
 use crate::manifest::load_manifest;
 use crate::trend::{trend, TrendConfig};
@@ -459,11 +460,12 @@ pub fn fleet_html(
 ) -> String {
     let mut rows = String::new();
     for (id, snap) in live {
+        let id = escape_markup(id);
         let _ = write!(
             rows,
             "<tr><td><code>{id}</code></td><td>{}</td><td>running</td>\
              <td>epoch {}</td><td><a href=\"/api/runs/{id}\">json</a></td></tr>",
-            escape_html(snap.command.as_deref().unwrap_or("?")),
+            escape_markup(snap.command.as_deref().unwrap_or("?")),
             snap.epochs_done,
         );
     }
@@ -473,7 +475,7 @@ pub fn fleet_html(
             .filter_map(|m| rec.metric(m).map(|v| format!("{m} {v:.3}")))
             .collect::<Vec<_>>()
             .join(", ");
-        let id = escape_html(&rec.run_id);
+        let id = escape_markup(&rec.run_id);
         let _ = write!(
             rows,
             "<tr><td><code>{id}</code></td><td>{}</td><td>{}</td><td>{}</td>\
@@ -484,9 +486,9 @@ pub fn fleet_html(
              <a href=\"/runs/{id}/health.svg\">health</a> \
              <a href=\"/runs/{id}/trend.svg\">trend</a> \
              <a href=\"/runs/{id}/flamegraph.svg\">flamegraph</a></td></tr>",
-            escape_html(&rec.command),
-            escape_html(&rec.status),
-            escape_html(&metrics),
+            escape_markup(&rec.command),
+            escape_markup(&rec.status),
+            escape_markup(&metrics),
         );
     }
     format!(
@@ -501,10 +503,6 @@ pub fn fleet_html(
          <table><tr><th>run</th><th>command</th><th>status</th><th>metrics</th>\
          <th>views</th></tr>{rows}</table></body></html>"
     )
-}
-
-fn escape_html(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
 }
 
 #[cfg(test)]
@@ -673,11 +671,33 @@ mod tests {
     fn label_values_are_escaped() {
         let records = vec![rec("r\"1\"", "tr\\ain", 1, "ok", &[("ede_mean_nm", 1.0)])];
         let html = fleet_html(&records, &[], "");
-        assert!(html.contains("<code>r\"1\"</code>"));
+        assert!(html.contains("<code>r&quot;1&quot;</code>"));
         let bannered = fleet_html(&records, &[], "<div class=\"alerts\">1 firing</div>");
         assert!(bannered.contains("<div class=\"alerts\">1 firing</div>"));
         let text = prometheus_exposition(&records, &[], None, &TrendConfig::default());
         assert!(text.contains("command=\"tr\\\\ain\""), "{text}");
+    }
+
+    #[test]
+    fn fleet_page_escapes_run_ids_in_attributes() {
+        let hostile = "x\"><script>";
+        let records = vec![rec(hostile, "train", 1, "ok", &[])];
+        let snap = WatchSnapshot {
+            status: "running".into(),
+            command: Some("train".into()),
+            epochs_done: 0,
+            epochs_total: None,
+            last_epoch: None,
+            eta_s: None,
+            pool_utilization: None,
+            current_kernel: None,
+            diagnoses: Vec::new(),
+            health_records: 0,
+            finished: false,
+        };
+        let html = fleet_html(&records, &[(hostile.to_string(), snap)], "");
+        assert!(html.contains("/api/runs/x&quot;&gt;&lt;script&gt;\""), "{html}");
+        assert!(!html.contains("<script"), "{html}");
     }
 
     #[test]

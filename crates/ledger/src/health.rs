@@ -11,6 +11,8 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
+use crate::escape_markup as esc;
+
 use litho_health::{
     diagnose, parse_health_file, CenterEpochRecord, Diagnosis, GanEpochRecord, HealthParse,
     HealthRecord, Pass, Thresholds,
@@ -339,20 +341,6 @@ pub fn render_health(run_id: &str, h: &HealthAnalysis) -> String {
         let _ = writeln!(out, "diagnoses ({}):", h.diagnoses.len());
         for d in &h.diagnoses {
             let _ = writeln!(out, "  {}", d.to_line());
-        }
-    }
-    out
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
         }
     }
     out

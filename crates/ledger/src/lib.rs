@@ -31,7 +31,7 @@
 //! * [`index`] — the append-only `runs/index.jsonl`, one summary record
 //!   per run, maintained transactionally by every finalize and repaired
 //!   by [`reindex`] (`lithogan_cli runs ls` / `reindex` / `runs gc`);
-//! * [`trend`] — cross-run trend tables, `trend.svg` and a streak-based
+//! * [`trend`](mod@trend) — cross-run trend tables, `trend.svg` and a streak-based
 //!   drift gate over the index (`lithogan_cli runs trend`);
 //! * [`watch`] — an incremental live tailer over an in-flight run's
 //!   `trace.jsonl` + `health.jsonl` (`lithogan_cli watch <run>`).
@@ -80,7 +80,7 @@ pub use manifest::{
 };
 pub use profile::{flamegraph_svg, fold_lines, render_attribution};
 pub use report::{load_run, render_report, RunData};
-pub use svg::dashboard_svg;
+pub use svg::{dashboard_svg, escape_markup};
 pub use trace::{
     analyze, analyze_file, parse_trace_file, parse_trace_str, CriticalHop, EpochPoint, SpanAgg,
     TraceAnalysis, TraceEvent, TraceParse,

@@ -22,6 +22,7 @@ use std::fmt::Write as _;
 use litho_tensor::profile::{machine_balance, RooflineBound};
 
 use crate::report::fmt_us;
+use crate::escape_markup as esc;
 use crate::trace::{SpanAgg, TraceAnalysis};
 
 const WIDTH: f64 = 960.0;
@@ -29,20 +30,6 @@ const ROW_H: f64 = 18.0;
 const MARGIN: f64 = 12.0;
 /// Frames narrower than this render but carry no label.
 const MIN_LABEL_W: f64 = 40.0;
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// One positioned flamegraph frame (exposed for tests).
 #[derive(Debug, Clone)]

@@ -12,7 +12,10 @@ const WIDTH: f64 = 960.0;
 const PANEL_H: f64 = 240.0;
 const MARGIN: f64 = 48.0;
 
-fn esc(s: &str) -> String {
+/// Escapes `&`, `<`, `>` and `"` for markup text and attribute values: the
+/// one escape behind every SVG document and HTML page the ledger, the dash
+/// and the alert banner render.
+pub fn escape_markup(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -25,6 +28,8 @@ fn esc(s: &str) -> String {
     }
     out
 }
+
+use escape_markup as esc;
 
 struct Panel<'a> {
     out: &'a mut String,

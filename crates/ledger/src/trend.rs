@@ -15,6 +15,7 @@ use litho_health::Streak;
 
 use crate::compare::Direction;
 use crate::index::IndexRecord;
+use crate::escape_markup as esc;
 
 /// Tuning for the drift detector.
 #[derive(Debug, Clone, Copy)]
@@ -291,20 +292,6 @@ pub fn render_trend(t: &Trend) -> String {
         }
         None => {
             let _ = writeln!(out, "no drift: no {} consecutive run(s) off the median", 2);
-        }
-    }
-    out
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
         }
     }
     out

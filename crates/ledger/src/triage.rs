@@ -14,6 +14,8 @@ use std::fmt::Write as _;
 
 use litho_metrics::SampleRecord;
 
+use crate::escape_markup as esc;
+
 const PANEL_W: f64 = 230.0;
 const PANEL_H: f64 = 230.0;
 const COLS: usize = 4;
@@ -22,20 +24,6 @@ const PAD: f64 = 10.0;
 const GOLD_SIDE: f64 = 90.0;
 /// Cap on the rendered per-edge displacement, px.
 const MAX_DISP: f64 = 28.0;
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// References to the worst `k` records: contour-less records first (the
 /// model printed nothing where the golden has a contact), then by EDE

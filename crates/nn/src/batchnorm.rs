@@ -19,8 +19,9 @@ pub struct BatchNorm2d {
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
     cache: Option<BnCache>,
-    /// Workspace for the normalised activations, reused every step; cycles
-    /// through the train cache like the conv layers' im2col buffers.
+    /// Workspace for the normalised activations of a train forward, reused
+    /// every step; cycles through the train cache like the conv layers'
+    /// saved inputs.
     ws_x_hat: Tensor,
 }
 
@@ -132,7 +133,15 @@ impl Layer for BatchNorm2d {
         };
 
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        crate::util::ensure_shape(&mut self.ws_x_hat, &[n, c, h, w]);
+        // Backward reads x_hat, so only a train forward keeps it; an eval
+        // forward writes each plane's x_hat to one reused plane instead.
+        let train = phase == Phase::Train;
+        let mut eval_plane = Vec::new();
+        if train {
+            crate::util::ensure_shape(&mut self.ws_x_hat, &[n, c, h, w]);
+        } else {
+            eval_plane.resize(plane, 0.0);
+        }
         {
             // Kernel level resolved once per forward; the scalar level is
             // the exact reference loop, AVX2 fuses gamma*xh+beta per lane.
@@ -144,10 +153,15 @@ impl Layer for BatchNorm2d {
             for b in 0..n {
                 for ci in 0..c {
                     let off = (b * c + ci) * plane;
+                    let xh = if train {
+                        &mut xh[off..off + plane]
+                    } else {
+                        &mut eval_plane[..]
+                    };
                     litho_tensor::simd::bn_normalize_affine(
                         level,
                         &src[off..off + plane],
-                        &mut xh[off..off + plane],
+                        xh,
                         &mut dst[off..off + plane],
                         mean[ci],
                         inv_std[ci],
@@ -158,7 +172,7 @@ impl Layer for BatchNorm2d {
             }
         }
 
-        if phase == Phase::Train {
+        if train {
             // Lend x_hat to the cache; backward returns it to the workspace.
             self.cache = Some(BnCache {
                 x_hat: std::mem::replace(&mut self.ws_x_hat, crate::util::empty()),
@@ -300,6 +314,38 @@ mod tests {
         for &v in y.as_slice() {
             assert!((v - 1.0).abs() < 1e-3);
         }
+    }
+
+    #[test]
+    fn eval_forward_keeps_no_workspace() {
+        let mut bn = BatchNorm2d::new(2);
+        bn.set_running_stats(&[0.5, -1.0], &[2.0, 0.25]).unwrap();
+        let x = Tensor::from_vec((0..2 * 2 * 3 * 3).map(|v| v as f32).collect(), &[2, 2, 3, 3])
+            .unwrap();
+        let eval = bn.forward(&x, Phase::Eval).unwrap();
+        assert!(bn.ws_x_hat.is_empty(), "eval forward grew the x_hat workspace");
+        // Same bits as normalising every plane with the running statistics.
+        let [n, c, plane] = [2, 2, 9];
+        let mut want = vec![0.0f32; x.len()];
+        for b in 0..n {
+            for ci in 0..c {
+                let (mean, var) = (bn.running_mean()[ci], bn.running_var()[ci]);
+                let inv_std = 1.0 / (var + bn.eps).sqrt();
+                let off = (b * c + ci) * plane;
+                let mut xh = vec![0.0; plane];
+                litho_tensor::simd::bn_normalize_affine(
+                    litho_tensor::active_level(),
+                    &x.as_slice()[off..off + plane],
+                    &mut xh,
+                    &mut want[off..off + plane],
+                    mean,
+                    inv_std,
+                    1.0,
+                    0.0,
+                );
+            }
+        }
+        assert_eq!(eval.as_slice(), &want[..]);
     }
 
     #[test]

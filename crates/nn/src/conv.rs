@@ -1,16 +1,20 @@
 use litho_tensor::rng::Rng;
 
 use litho_tensor::{
-    conv_backward_fused, conv_forward_fused, Im2ColSpec, Result, Tensor, TensorError,
+    conv_forward_fused, conv_transpose_fused, gemm, Im2ColSpec, MatRef, Result, Tensor,
+    TensorError,
 };
 
 use crate::layer::{Layer, Param, Phase};
-use crate::util::{ensure_shape, nchw_to_cm_into};
+use crate::util::{ensure_shape, ConvWorkspace};
 use crate::WeightInit;
 
 /// 2-D convolution over NCHW tensors, lowered to GEMM via im2col. The
 /// column matrix is never stored: the GEMM packs it straight from the
-/// input ([`litho_tensor::conv_forward_fused`]).
+/// input ([`litho_tensor::conv_forward_fused`]). The backward is the
+/// adjoint kernel, a transposed convolution of the output gradient
+/// ([`litho_tensor::conv_transpose_fused`]), plus one GEMM for the weight
+/// gradient.
 ///
 /// Weight layout is `[out_c, in_c * kh * kw]`; bias is `[out_c]`. The
 /// paper's encoder/discriminator layers are all `Conv2d::new(..., 5, 2, 2)`
@@ -45,27 +49,6 @@ pub struct Conv2d {
 struct ConvCache {
     input: Tensor,
     output_hw: (usize, usize),
-}
-
-/// Layer-owned scratch, grown on demand and reused every step so the hot
-/// loop stops allocating. The saved input cycles between the workspace
-/// and the train cache: forward copies the input into it and moves it into
-/// the cache, backward hands it back.
-#[derive(Debug)]
-struct ConvWorkspace {
-    input: Tensor,
-    dy: Tensor,
-    dw: Tensor,
-}
-
-impl Default for ConvWorkspace {
-    fn default() -> Self {
-        ConvWorkspace {
-            input: crate::util::empty(),
-            dy: crate::util::empty(),
-            dw: crate::util::empty(),
-        }
-    }
 }
 
 impl Conv2d {
@@ -151,11 +134,8 @@ impl Layer for Conv2d {
         if phase == Phase::Train {
             // The weight gradient reads im2col of the input: keep a copy in
             // the reused buffer and lend it to the cache; backward returns it.
-            let mut saved = std::mem::replace(&mut self.ws.input, crate::util::empty());
-            ensure_shape(&mut saved, input.dims());
-            saved.as_mut_slice().copy_from_slice(input.as_slice());
             self.cache = Some(ConvCache {
-                input: saved,
+                input: self.ws.lend_input(input),
                 output_hw: (oh, ow),
             });
         } else {
@@ -170,39 +150,45 @@ impl Layer for Conv2d {
         })?;
         let [n, c, h, w] = cache.input.shape().as_nchw()?;
         let (oh, ow) = cache.output_hw;
-        let ncols = n * oh * ow;
-        nchw_to_cm_into(grad_output, &mut self.ws.dy)?; // [out_c, n*oh*ow]
-        if self.ws.dy.dims() != [self.out_channels, ncols] {
+        if grad_output.dims() != [n, self.out_channels, oh, ow] {
             return Err(TensorError::ShapeMismatch {
-                left: self.ws.dy.dims().to_vec(),
-                right: vec![self.out_channels, ncols],
+                left: grad_output.dims().to_vec(),
+                right: vec![n, self.out_channels, oh, ow],
             });
         }
 
-        // dW = dy · im2col(x)ᵀ and dx = col2im(Wᵀ · dy) in one fused
-        // kernel: im2col(x)ᵀ is packed straight from the saved input and dx
-        // is scattered from per-item windows, so no column matrix is built.
+        // dW = dy · im2col(x)ᵀ: dy's channel-major matrix is its 1×1
+        // im2col view and im2col(x)ᵀ is packed straight from the saved
+        // input, so neither is stored.
         ensure_shape(&mut self.ws.dw, self.weight.value.dims());
-        let mut dx = Tensor::zeros(&[n, c, h, w]);
-        conv_backward_fused(
-            self.weight.value.as_slice(),
-            self.ws.dy.as_slice(),
-            &cache.input,
+        gemm(
+            MatRef::im2col(grad_output, &Im2ColSpec::square(1, 1, 0))?,
+            MatRef::im2col(&cache.input, &self.spec)?.t(),
             self.ws.dw.as_mut_slice(),
-            &mut dx,
-            &self.spec,
-            self.out_channels,
-        )?;
+            None,
+        );
         self.weight.grad.add_assign(&self.ws.dw)?;
 
-        // db = row sums of dy.
+        // db = per-channel sums of dy, one fold over all items' planes.
         {
-            let dy_data = self.ws.dy.as_slice();
+            let plane = oh * ow;
+            let dy_data = grad_output.as_slice();
             let db = self.bias.grad.as_mut_slice();
             for (oc, acc) in db.iter_mut().enumerate() {
-                *acc += dy_data[oc * ncols..(oc + 1) * ncols].iter().sum::<f32>();
+                *acc += (0..n)
+                    .flat_map(|b| {
+                        let off = (b * self.out_channels + oc) * plane;
+                        &dy_data[off..off + plane]
+                    })
+                    .sum::<f32>();
             }
         }
+
+        // dx = col2im(Wᵀ · dy): the transposed convolution of dy, scattered
+        // from per-item windows, so no column matrix is built.
+        let mut dx = Tensor::zeros(&[n, c, h, w]);
+        let weight = self.weight.value.as_slice();
+        conv_transpose_fused(weight, grad_output, None, &mut dx, &self.spec)?;
 
         // Return the lent input buffer to the workspace for the next step.
         self.ws.input = cache.input;

@@ -5,17 +5,19 @@ use litho_tensor::{
 };
 
 use crate::layer::{Layer, Param, Phase};
-use crate::util::{ensure_shape, nchw_to_cm_into};
+use crate::util::{ensure_shape, ConvWorkspace};
 use crate::WeightInit;
 
 /// 2-D transposed convolution ("Deconv" in the paper's Table 1).
 ///
 /// Implemented as the adjoint of [`crate::Conv2d`]: the forward pass is
-/// `col2im(Wᵀ · x) + bias`, the same fused kernel as the conv backward
-/// data pass ([`litho_tensor::conv_transpose_fused`]). With `kernel = 5,
-/// stride = 2, pad = 2, output_pad = 1` the spatial size doubles — the
-/// paper's decoder configuration. Its backward is a convolution forward of
-/// the output gradient, whose im2col matrix is never stored either.
+/// `col2im(Wᵀ · x) + bias` over the NCHW input, the same kernel as the
+/// conv backward data pass ([`litho_tensor::conv_transpose_fused`]). With
+/// `kernel = 5, stride = 2, pad = 2, output_pad = 1` the spatial size
+/// doubles — the paper's decoder configuration. Its backward is a
+/// convolution forward of the output gradient
+/// ([`litho_tensor::conv_forward_fused`]) plus one GEMM for the weight
+/// gradient; neither stores an im2col matrix.
 ///
 /// Weight layout is `[in_c, out_c * kh * kw]`; bias is `[out_c]`.
 ///
@@ -42,32 +44,13 @@ pub struct ConvTranspose2d {
     weight: Param,
     bias: Param,
     cache: Option<DeconvCache>,
-    ws: DeconvWorkspace,
+    ws: ConvWorkspace,
 }
 
 #[derive(Debug)]
 struct DeconvCache {
-    x_mat: Tensor,
-    input_dims: [usize; 4],
+    input: Tensor,
     output_hw: (usize, usize),
-}
-
-/// Layer-owned scratch, grown on demand and reused every step. The
-/// channel-major input matrix cycles between the workspace and the train
-/// cache exactly like `Conv2d`'s cols buffer.
-#[derive(Debug)]
-struct DeconvWorkspace {
-    x_mat: Tensor,
-    dw: Tensor,
-}
-
-impl Default for DeconvWorkspace {
-    fn default() -> Self {
-        DeconvWorkspace {
-            x_mat: crate::util::empty(),
-            dw: crate::util::empty(),
-        }
-    }
 }
 
 impl ConvTranspose2d {
@@ -120,7 +103,7 @@ impl ConvTranspose2d {
             weight: Param::new(weight),
             bias: Param::new(Tensor::zeros(&[out_channels])),
             cache: None,
-            ws: DeconvWorkspace::default(),
+            ws: ConvWorkspace::default(),
         }
     }
 
@@ -153,23 +136,21 @@ impl Layer for ConvTranspose2d {
             )));
         }
 
-        nchw_to_cm_into(input, &mut self.ws.x_mat)?; // [in_c, n*ih*iw]
         // y = col2im(Wᵀ · x) + bias, with no [out_c*kh*kw, n*ih*iw] matrix
         // in between.
         let mut y = Tensor::zeros(&[n, self.out_channels, oh, ow]);
         conv_transpose_fused(
             self.weight.value.as_slice(),
-            self.ws.x_mat.as_slice(),
-            self.bias.value.as_slice(),
+            input,
+            Some(self.bias.value.as_slice()),
             &mut y,
             &self.spec,
-            self.in_channels,
         )?;
         if phase == Phase::Train {
-            // Lend the x_mat buffer to the cache; backward returns it.
+            // The weight gradient reads the input: keep a copy in the reused
+            // buffer and lend it to the cache; backward returns it.
             self.cache = Some(DeconvCache {
-                x_mat: std::mem::replace(&mut self.ws.x_mat, crate::util::empty()),
-                input_dims: [n, c, ih, iw],
+                input: self.ws.lend_input(input),
                 output_hw: (oh, ow),
             });
         } else {
@@ -184,7 +165,7 @@ impl Layer for ConvTranspose2d {
                 "ConvTranspose2d::backward called before train forward".into(),
             )
         })?;
-        let [n, c, ih, iw] = cache.input_dims;
+        let [n, c, ih, iw] = cache.input.shape().as_nchw()?;
         let (oh, ow) = cache.output_hw;
         if grad_output.dims() != [n, self.out_channels, oh, ow] {
             return Err(TensorError::ShapeMismatch {
@@ -193,15 +174,15 @@ impl Layer for ConvTranspose2d {
             });
         }
 
-        let ncols = n * ih * iw;
         // dcols = im2col(dy), the adjoint of the forward col2im scatter, as
         // a view: [out_c*kh*kw, n*ih*iw], packed straight from dy.
         let dcols = MatRef::im2col(grad_output, &self.spec)?;
 
-        // dW = x · dcolsᵀ
+        // dW = x · dcolsᵀ, x's channel-major matrix read as its 1×1 im2col
+        // view of the saved input.
         ensure_shape(&mut self.ws.dw, self.weight.value.dims());
         gemm(
-            MatRef::row_major(cache.x_mat.as_slice(), self.in_channels, ncols),
+            MatRef::im2col(&cache.input, &Im2ColSpec::square(1, 1, 0))?,
             dcols.t(),
             self.ws.dw.as_mut_slice(),
             None,
@@ -226,8 +207,8 @@ impl Layer for ConvTranspose2d {
         let mut dx = Tensor::zeros(&[n, c, ih, iw]);
         let weight = self.weight.value.as_slice();
         conv_forward_fused(weight, grad_output, None, &mut dx, &self.spec)?;
-        // Return the lent x_mat buffer to the workspace for the next step.
-        self.ws.x_mat = cache.x_mat;
+        // Return the lent input buffer to the workspace for the next step.
+        self.ws.input = cache.input;
         Ok(dx)
     }
 
@@ -341,6 +322,14 @@ mod tests {
                 crate::gradcheck::check_layer(Box::new(deconv), &[2, 3, 3, 3], 1e-2, 2e-2)
             });
         }
+    }
+
+    #[test]
+    fn eval_forward_keeps_no_workspace() {
+        let mut rng = litho_tensor::rng::StdRng::seed_from_u64(0);
+        let mut deconv = ConvTranspose2d::new(4, 2, 5, 2, 2, 1, &mut rng);
+        deconv.forward(&Tensor::ones(&[2, 4, 4, 4]), Phase::Eval).unwrap();
+        assert!(deconv.ws.input.is_empty() && deconv.ws.dw.is_empty());
     }
 
     #[test]

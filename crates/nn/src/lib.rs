@@ -9,8 +9,8 @@
 //! * [`BatchNorm2d`], [`Dropout`], [`MaxPool2d`], [`Linear`], [`Flatten`].
 //! * Activations: [`Relu`], [`LeakyRelu`], [`Tanh`], [`Sigmoid`].
 //! * Losses: [`bce_with_logits`], [`l1_loss`], [`mse_loss`].
-//! * Optimizers: [`Sgd`], [`Adam`] (the paper trains with Adam,
-//!   lr = 2e-4, β = (0.5, 0.999)).
+//! * Optimizer: [`Adam`], as the paper trains (lr = 2e-4,
+//!   β = (0.5, 0.999)).
 //!
 //! Every layer implements [`Layer`]: `forward` caches whatever the backward
 //! pass needs, `backward` consumes the cache and accumulates parameter
@@ -62,7 +62,7 @@ pub use init::WeightInit;
 pub use layer::{Flatten, Layer, Param, Phase};
 pub use linear::Linear;
 pub use loss::{bce_with_logits, l1_loss, mse_loss, LossValue};
-pub use optim::{Adam, Optimizer, Sgd, UpdateStat};
+pub use optim::{Adam, Optimizer, UpdateStat};
 pub use pool::MaxPool2d;
 pub use sequential::Sequential;
 pub use stats::{RecordingHook, StatsHook, TensorStats};

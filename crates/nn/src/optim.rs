@@ -62,87 +62,6 @@ pub trait Optimizer {
     }
 }
 
-/// Stochastic gradient descent with classical momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-    track_updates: bool,
-    update_stats: Vec<UpdateStat>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer. `momentum = 0` is plain SGD.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-            track_updates: false,
-            update_stats: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, net: &mut dyn Layer) {
-        let mut idx = 0;
-        let lr = self.lr;
-        let momentum = self.momentum;
-        let velocity = &mut self.velocity;
-        let track = self.track_updates;
-        let stats = &mut self.update_stats;
-        stats.clear();
-        net.visit_params(&mut |p| {
-            if velocity.len() <= idx {
-                velocity.push(Tensor::zeros(p.value.dims()));
-            }
-            let v = &mut velocity[idx];
-            debug_assert_eq!(v.dims(), p.value.dims(), "optimizer/network mismatch");
-            let vd = v.as_mut_slice();
-            let val = p.value.as_mut_slice();
-            let grad = p.grad.as_slice();
-            if track {
-                let mut update_sq = 0.0f64;
-                let mut weight_sq = 0.0f64;
-                for i in 0..val.len() {
-                    vd[i] = momentum * vd[i] - lr * grad[i];
-                    val[i] += vd[i];
-                    update_sq += (vd[i] as f64) * (vd[i] as f64);
-                    weight_sq += (val[i] as f64) * (val[i] as f64);
-                }
-                stats.push(UpdateStat::new(update_sq, weight_sq));
-            } else {
-                for i in 0..val.len() {
-                    vd[i] = momentum * vd[i] - lr * grad[i];
-                    val[i] += vd[i];
-                }
-            }
-            idx += 1;
-        });
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn set_update_tracking(&mut self, enabled: bool) {
-        self.track_updates = enabled;
-        if !enabled {
-            self.update_stats.clear();
-        }
-    }
-
-    fn update_stats(&self) -> &[UpdateStat] {
-        &self.update_stats
-    }
-}
-
 /// Adam (Kingma & Ba, paper reference \[24\]).
 ///
 /// The paper trains both networks with `lr = 2e-4`, `β₁ = 0.5`,
@@ -282,12 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.05, 0.9);
-        assert!(train_quadratic(&mut opt, 200) < 1e-4);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.05, 0.9, 0.999);
         assert!(train_quadratic(&mut opt, 300) < 1e-4);
@@ -321,26 +234,22 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, -0.5, 2.0], &[1, 3]).unwrap();
         let target = Tensor::from_vec(vec![0.7, -0.3], &[1, 2]).unwrap();
 
-        for opt in [
-            &mut Adam::new(0.05, 0.9, 0.999) as &mut dyn Optimizer,
-            &mut Sgd::new(0.05, 0.9) as &mut dyn Optimizer,
-        ] {
-            assert!(opt.update_stats().is_empty(), "tracking is off by default");
-            opt.set_update_tracking(true);
-            net.zero_grad();
-            let y = net.forward(&x, Phase::Train).unwrap();
-            let lv = mse_loss(&y, &target).unwrap();
-            net.backward(&lv.grad).unwrap();
-            opt.step(&mut net);
-            let stats = opt.update_stats();
-            assert_eq!(stats.len(), 2, "Linear has weight + bias");
-            for s in stats {
-                assert!(s.update_l2.is_finite() && s.update_l2 > 0.0);
-                assert!(s.ratio.is_finite());
-            }
-            opt.set_update_tracking(false);
-            assert!(opt.update_stats().is_empty());
+        let mut opt = Adam::new(0.05, 0.9, 0.999);
+        assert!(opt.update_stats().is_empty(), "tracking is off by default");
+        opt.set_update_tracking(true);
+        net.zero_grad();
+        let y = net.forward(&x, Phase::Train).unwrap();
+        let lv = mse_loss(&y, &target).unwrap();
+        net.backward(&lv.grad).unwrap();
+        opt.step(&mut net);
+        let stats = opt.update_stats();
+        assert_eq!(stats.len(), 2, "Linear has weight + bias");
+        for s in stats {
+            assert!(s.update_l2.is_finite() && s.update_l2 > 0.0);
+            assert!(s.ratio.is_finite());
         }
+        opt.set_update_tracking(false);
+        assert!(opt.update_stats().is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Internal layout helpers shared by convolution layers.
+//! Workspace helpers shared by the layers.
 
-use litho_tensor::{Result, Tensor};
+use litho_tensor::Tensor;
 
 /// A zero-element placeholder tensor for workspace slots whose buffers are
 /// currently lent out (or not yet grown).
@@ -25,67 +25,35 @@ pub(crate) fn ensure_shape(t: &mut Tensor, dims: &[usize]) {
     }
 }
 
-/// Reorders an NCHW tensor into a channel-major matrix `[c, n*h*w]` whose
-/// columns are ordered `(batch, y, x)` — the column convention produced by
-/// `im2col`. The hot paths use [`nchw_to_cm_into`]; this allocating form
-/// remains for tests.
-#[cfg(test)]
-pub(crate) fn nchw_to_cm(input: &Tensor) -> Result<Tensor> {
-    let mut out = empty();
-    nchw_to_cm_into(input, &mut out)?;
-    Ok(out)
+/// The reused buffers of a convolution layer, grown on demand so the hot
+/// loop stops allocating. The saved input cycles between the workspace
+/// and the train cache: forward copies the input into it and lends it to
+/// the cache ([`ConvWorkspace::lend_input`]), backward hands it back.
+#[derive(Debug)]
+pub(crate) struct ConvWorkspace {
+    /// The saved input, while it is not lent to the train cache.
+    pub(crate) input: Tensor,
+    /// One backward's weight gradient, before it joins the parameter's.
+    pub(crate) dw: Tensor,
 }
 
-/// [`nchw_to_cm`] into a caller-owned matrix (resized as needed); every
-/// element is overwritten.
-pub(crate) fn nchw_to_cm_into(input: &Tensor, out: &mut Tensor) -> Result<()> {
-    let [n, c, h, w] = input.shape().as_nchw()?;
-    let plane = h * w;
-    ensure_shape(out, &[c, n * plane]);
-    let src = input.as_slice();
-    let dst = out.as_mut_slice();
-    for b in 0..n {
-        for ci in 0..c {
-            let src_off = (b * c + ci) * plane;
-            let dst_off = ci * n * plane + b * plane;
-            dst[dst_off..dst_off + plane].copy_from_slice(&src[src_off..src_off + plane]);
+impl Default for ConvWorkspace {
+    fn default() -> Self {
+        ConvWorkspace {
+            input: empty(),
+            dw: empty(),
         }
     }
-    Ok(())
 }
 
-/// Inverse of [`nchw_to_cm`]: reinterprets a `[c, n*h*w]` channel-major
-/// matrix as an NCHW tensor. The convolutions store NCHW directly; this
-/// remains for tests.
-#[cfg(test)]
-pub(crate) fn cm_to_nchw(mat: &Tensor, n: usize, c: usize, h: usize, w: usize) -> Result<Tensor> {
-    let plane = h * w;
-    let mut out = Tensor::zeros(&[n, c, h, w]);
-    let src = mat.as_slice();
-    let dst = out.as_mut_slice();
-    for b in 0..n {
-        for ci in 0..c {
-            let src_off = ci * n * plane + b * plane;
-            let dst_off = (b * c + ci) * plane;
-            dst[dst_off..dst_off + plane].copy_from_slice(&src[src_off..src_off + plane]);
-        }
-    }
-    Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cm_round_trip() {
-        let x = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 3, 2, 2]).unwrap();
-        let cm = nchw_to_cm(&x).unwrap();
-        assert_eq!(cm.dims(), &[3, 8]);
-        // Channel 0 row holds batch 0's plane then batch 1's plane.
-        assert_eq!(&cm.as_slice()[0..4], &[0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(&cm.as_slice()[4..8], &[12.0, 13.0, 14.0, 15.0]);
-        let back = cm_to_nchw(&cm, 2, 3, 2, 2).unwrap();
-        assert_eq!(back, x);
+impl ConvWorkspace {
+    /// Copies `input` into the saved-input buffer and lends that buffer
+    /// out for the train cache; the copy allocates only when the input's
+    /// size changes.
+    pub(crate) fn lend_input(&mut self, input: &Tensor) -> Tensor {
+        let mut saved = std::mem::replace(&mut self.input, empty());
+        ensure_shape(&mut saved, input.dims());
+        saved.as_mut_slice().copy_from_slice(input.as_slice());
+        saved
     }
 }

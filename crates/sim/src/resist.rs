@@ -75,7 +75,7 @@ impl ResistPattern {
     /// The 4-connected printed component containing pixel `(y, x)`, as a
     /// new pattern with all other components erased. Returns an all-false
     /// pattern if `(y, x)` did not print.
-    pub fn component_at(&self, y: usize, x: usize) -> ResistPattern {
+    fn component_at(&self, y: usize, x: usize) -> ResistPattern {
         let mut out = vec![false; self.size * self.size];
         if y >= self.size || x >= self.size || !self.at(y, x) {
             return ResistPattern {
@@ -174,28 +174,6 @@ impl ResistPattern {
         let row = (y0 + y1) / 2;
         let count = (0..self.size).filter(|&x| self.at(row, x)).count();
         Some(count as f64 * self.pitch_nm)
-    }
-
-    /// Crops a `window_px` square centred at physical `(cy_nm, cx_nm)`,
-    /// clamping the window inside the grid.
-    pub fn crop_window(&self, cy_nm: f64, cx_nm: f64, window_px: usize) -> ResistPattern {
-        let window_px = window_px.min(self.size);
-        let cy = (cy_nm / self.pitch_nm).round() as isize;
-        let cx = (cx_nm / self.pitch_nm).round() as isize;
-        let max0 = (self.size - window_px) as isize;
-        let y0 = (cy - window_px as isize / 2).clamp(0, max0) as usize;
-        let x0 = (cx - window_px as isize / 2).clamp(0, max0) as usize;
-        let mut printed = vec![false; window_px * window_px];
-        for y in 0..window_px {
-            for x in 0..window_px {
-                printed[y * window_px + x] = self.printed[(y0 + y) * self.size + (x0 + x)];
-            }
-        }
-        ResistPattern {
-            size: window_px,
-            pitch_nm: self.pitch_nm,
-            printed,
-        }
     }
 }
 
@@ -459,16 +437,6 @@ mod tests {
         assert_eq!(p.bounding_box(), None);
         assert_eq!(p.center_component(), None);
         assert_eq!(p.cd_horizontal_nm(), None);
-    }
-
-    #[test]
-    fn crop_window_is_clamped() {
-        let mut printed = vec![false; 64];
-        printed[0] = true;
-        let p = ResistPattern::from_raw(printed, 8, 1.0).unwrap();
-        let crop = p.crop_window(0.0, 0.0, 4);
-        assert_eq!(crop.size(), 4);
-        assert!(crop.at(0, 0));
     }
 
     /// `T = base + env_coeff · I_env + slope_coeff · |∇I|` per pixel, from

@@ -68,14 +68,6 @@ impl Complex {
     pub fn abs(&self) -> f64 {
         self.norm_sqr().sqrt()
     }
-
-    /// Complex conjugate.
-    pub fn conj(&self) -> Complex {
-        Complex {
-            re: self.re,
-            im: -self.im,
-        }
-    }
 }
 
 impl std::ops::Add for Complex {
@@ -458,7 +450,7 @@ mod avx2 {
 
 /// In-place 2-D FFT of a row-major `h x w` buffer (both power-of-two).
 ///
-/// Rows are transformed first, then columns in tiles of [`TILE`] columns
+/// Rows are transformed first, then columns in tiles of `TILE` columns
 /// (see the module docs); each 1-D transform applies its own `1/n` on the
 /// inverse. Transforms of at least `PARALLEL_THRESHOLD` points split their
 /// rows, then their column tiles, over the worker pool; every element's

@@ -1,32 +1,37 @@
-//! The convolution core: `W · im2col(x)` and `col2im(Wᵀ · x)`, each shared
-//! by the two layers that run it in adjoint roles.
+//! The convolution core: two kernels, `W · im2col(x)` and
+//! `col2im(Wᵀ · x)`, each the other's adjoint, with every operand NCHW.
 //!
 //! A transposed convolution is the adjoint of a convolution, so
 //! `ConvTranspose2d`'s forward and `Conv2d`'s input gradient are the same
 //! computation — a GEMM through `Wᵀ` followed by the `col2im` scatter —
 //! and `ConvTranspose2d`'s input gradient is a convolution forward of its
-//! output gradient:
+//! output gradient. Each layer's weight gradient is one plain
+//! [`gemm`](crate::gemm):
 //!
 //! ```text
-//!   Conv2d::forward ──────────► conv_forward_fused ──► y = W · im2col(x) + b
-//!   ConvTranspose2d::backward ─┬► conv_forward_fused ──► dx = W · im2col(dy)
-//!                              └► gemm ──────────────► dW = x · im2col(dy)ᵀ
-//!                                          │
-//!                          im2col_gemm: per item window, W · im2col view
-//!                          stored straight into the NCHW output planes
+//!   Conv2d::forward ──────────► conv_forward_fused ───► y  = W · im2col(x) + b
+//!   ConvTranspose2d::backward ┬► conv_forward_fused ───► dx = W · im2col(dy)
+//!                             └► gemm ─────────────────► dW = x · im2col(dy)ᵀ
+//!                                        │
+//!                        im2col_gemm: per item window, W · im2col view
+//!                        stored straight into the NCHW output planes
 //!
-//!   Conv2d::backward ──► conv_backward_fused ─┬─► dW = dy · im2col(x)ᵀ  (gemm)
-//!                                             └─► dx = col2im(Wᵀ · dy)
-//!   ConvTranspose2d::forward ──► conv_transpose_fused ─► y = col2im(Wᵀ · x) + b
-//!                                          │
-//!                          col2im_gemm: per item window, Wᵀ · x_window
-//!                          into thread scratch, scattered into the planes
+//!   ConvTranspose2d::forward ─► conv_transpose_fused ──► y  = col2im(Wᵀ · x) + b
+//!   Conv2d::backward ─────────┬► conv_transpose_fused ─► dx = col2im(Wᵀ · dy)
+//!                             └► gemm ─────────────────► dW = dy · im2col(x)ᵀ
+//!                                        │
+//!                        col2im_gemm: per item window, Wᵀ · x_window
+//!                        into thread scratch, scattered into the planes
 //! ```
 //!
 //! * No `[k, n*oh*ow]` column matrix is ever materialised (~440 MB over the
 //!   generator and ~560 MB over the centre CNN at the paper's batch of 8).
 //!   `im2col(x)` is a [`MatRef::im2col`] view whose GEMM micro-panels are
 //!   packed straight from the NCHW image, in either orientation.
+//! * No channel-major `[c, n*h*w]` copy of an activation is made either:
+//!   that matrix is the im2col matrix of the tensor under a 1×1, stride-1,
+//!   unpadded spec, so `x` and `dy` enter a GEMM as that view,
+//!   `MatRef::im2col(t, &Im2ColSpec::square(1, 1, 0))`.
 //! * A per-item window of the output is a row-major `[rows, oh*ow]` block
 //!   of the NCHW tensor, so `im2col_gemm` stores each item's GEMM there
 //!   directly. `col2im_gemm` GEMMs a window into a per-thread scratch and
@@ -122,99 +127,47 @@ pub fn conv_forward_fused(
     Ok(())
 }
 
-/// Fused convolution backward for the im2col-lowered Conv2d.
+/// Transposed-convolution forward: `y = col2im(Wᵀ · x) (+ bias)`.
 ///
-/// Inputs: `weight` is `[out_c, k]` (`k = c*kh*kw`), `dy` is
-/// `[out_c, n*oh*ow]` (channel-major gradient), `input` the forward's
-/// NCHW input `[n, c, h, w]`. Outputs: `dw` (`[out_c, k]`) is overwritten
-/// with `dy · im2col(input)ᵀ` (one [`crate::gemm`] over the im2col view,
-/// read transposed), and `dx` (`input`'s shape) with `col2im(Wᵀ · dy)`.
-/// The bias gradient is left to the caller (a cheap row-sum over `dy`).
+/// `weight` is `[in_c, k]` (`k = out_c*kh*kw`), `x` the NCHW input
+/// `[n, in_c, ih, iw]` and `y` (`[n, out_c, oh, ow]`, fully overwritten)
+/// the output grid whose convolution by `spec` lands back on `ih x iw`.
+/// `bias` (`[out_c]`) initialises each output plane before the scatter.
+/// `Conv2d`'s input gradient is this kernel with `dy` as `x`, the conv
+/// weight as `weight` and no bias. Emits one `col2im[{k}x{n*ih*iw}]`
+/// kernel span costed as the GEMM plus the scatter.
 ///
-/// Bit-identical to the unfused `dy · colsᵀ`, `Wᵀ · dy` GEMMs over the
-/// stored `cols = im2col(input)` + `col2im` composition at every kernel
-/// level.
-///
-/// # Errors
-///
-/// Returns [`TensorError`] variants when `dx` is not rank 4 or not
-/// `input`'s shape, the geometry is invalid, or any slice length
-/// disagrees with the implied shape.
-pub fn conv_backward_fused(
-    weight: &[f32],
-    dy: &[f32],
-    input: &Tensor,
-    dw: &mut [f32],
-    dx: &mut Tensor,
-    spec: &Im2ColSpec,
-    out_c: usize,
-) -> Result<()> {
-    let image = Im2ColImage::new(input, spec)?;
-    if dx.dims() != input.dims() {
-        return Err(TensorError::ShapeMismatch {
-            left: dx.dims().to_vec(),
-            right: input.dims().to_vec(),
-        });
-    }
-    let (k, ncols) = (image.rows(), image.cols());
-    check_lengths(&[
-        (weight.len(), out_c * k),
-        (dy.len(), out_c * ncols),
-        (dw.len(), out_c * k),
-    ])?;
-    if ncols == 0 || out_c == 0 {
-        dw.fill(0.0);
-        dx.as_mut_slice().fill(0.0);
-        return Ok(());
-    }
-    let _span = crate::profile::kernel_span(
-        || format!("conv_bwd_fused[{out_c}x{k}x{ncols}]"),
-        crate::profile::KernelCost::gemm(out_c, k, ncols)
-            .plus(crate::profile::KernelCost::gemm(k, ncols, out_c))
-            .plus(crate::profile::KernelCost::col2im(k, ncols)),
-    );
-    // One level for the whole fused kernel, resolved on the caller thread.
-    let level = crate::simd::active_level();
-    let dy_m = MatRef::row_major(dy, out_c, ncols);
-    gemm_at(level, dy_m, MatRef::from_image(image).t(), dw, None);
-    let (dims, out_hw) = (image.dims(), image.out_hw());
-    col2im_gemm(level, weight, dy, None, dx.as_mut_slice(), dims, out_hw, spec, out_c);
-    Ok(())
-}
-
-/// Transposed-convolution forward: `y = col2im(Wᵀ · x) + bias`.
-///
-/// `weight` is `[in_c, k]` (`k = out_c*kh*kw`), `x` is the channel-major
-/// input `[in_c, n*ih*iw]`, and `y` (`[n, out_c, oh, ow]`, fully
-/// overwritten) is the output grid whose convolution by `spec` lands back
-/// on `ih x iw`. `bias` (`[out_c]`) initialises each output plane before
-/// the scatter. Emits one `col2im[{k}x{ncols}]` kernel span costed as the
-/// GEMM plus the scatter.
-///
-/// Bit-identical to the unfused `Wᵀ · x` GEMM followed by `col2im` and a
-/// per-channel bias at every kernel level.
+/// Bit-identical to the unfused `Wᵀ · x` GEMM over the channel-major
+/// matrix of `x` followed by `col2im` and a per-channel bias at every
+/// kernel level and thread count.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError`] variants when `y` is not rank 4, the geometry
-/// is invalid, or any slice length disagrees with the implied shape.
+/// Returns [`TensorError`] variants when `x` or `y` is not rank 4, the
+/// geometry is invalid, or any length disagrees with the implied shape.
 pub fn conv_transpose_fused(
     weight: &[f32],
-    x: &[f32],
-    bias: &[f32],
+    x: &Tensor,
+    bias: Option<&[f32]>,
     y: &mut Tensor,
     spec: &Im2ColSpec,
-    in_c: usize,
 ) -> Result<()> {
+    // x's channel-major matrix [in_c, n*ih*iw] is its 1×1 im2col view.
+    let src = MatRef::im2col(x, &Im2ColSpec::square(1, 1, 0))?;
+    let [n, in_c, ih, iw] = x.shape().as_nchw()?;
     // The output grid is the image whose im2col matrix the scatter inverts.
-    let [n, out_c, oh, ow] = y.shape().as_nchw()?;
-    let (ih, iw) = spec.output_size(oh, ow)?;
+    let [yn, out_c, oh, ow] = y.shape().as_nchw()?;
+    if yn != n || spec.output_size(oh, ow)? != (ih, iw) {
+        return Err(TensorError::ShapeMismatch {
+            left: y.dims().to_vec(),
+            right: x.dims().to_vec(),
+        });
+    }
     let k = out_c * spec.kernel_h * spec.kernel_w;
     let ncols = n * ih * iw;
     check_lengths(&[
         (weight.len(), in_c * k),
-        (x.len(), in_c * ncols),
-        (bias.len(), out_c),
+        (bias.map_or(out_c, <[f32]>::len), out_c),
     ])?;
     if y.is_empty() {
         return Ok(());
@@ -226,7 +179,7 @@ pub fn conv_transpose_fused(
     );
     let level = crate::simd::active_level();
     let dims = [n, out_c, oh, ow];
-    col2im_gemm(level, weight, x, Some(bias), y.as_mut_slice(), dims, (ih, iw), spec, in_c);
+    col2im_gemm(level, weight, src, bias, y.as_mut_slice(), dims, (ih, iw), spec, in_c);
     Ok(())
 }
 
@@ -304,15 +257,15 @@ fn im2col_gemm(
 }
 
 /// `dst = col2im(Wᵀ · src) (+ bias)`, where `weight` is `[rows, k]`, `src`
-/// the channel-major `[rows, n*oh*ow]` and `dst` the `[n, c, h, w]` image,
-/// one item window at a time: GEMM into a per-thread `[k, window]`
+/// the `[rows, n*oh*ow]` channel-major view and `dst` the `[n, c, h, w]`
+/// image, one item window at a time: GEMM into a per-thread `[k, window]`
 /// scratch, scatter into the window's image planes immediately. Lengths
 /// are the caller's to check.
 #[allow(clippy::too_many_arguments)]
 fn col2im_gemm(
     level: KernelLevel,
     weight: &[f32],
-    src: &[f32],
+    src: MatRef<'_>,
     bias: Option<&[f32]>,
     dst: &mut [f32],
     [n, c, h, w]: [usize; 4],
@@ -338,8 +291,7 @@ fn col2im_gemm(
             let mut dcols = cell.borrow_mut();
             // Fully overwritten by the GEMM: no need to clear.
             dcols.resize(k * win, 0.0);
-            // Items b0.. are consecutive columns of src, row stride ncols.
-            let x_win = MatRef::new(&src[(b0 * item_cols).min(src.len())..], rows, win, ncols, 1);
+            let x_win = src.block(0, rows, b0 * item_cols, win);
             gemm_at(level, wt, x_win, &mut dcols, None);
             for j in 0..items {
                 for ci in 0..c {
@@ -370,8 +322,35 @@ mod tests {
         (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
     }
 
-    /// The unfused reference composition, exactly as Conv2d::backward ran
-    /// before fusion.
+    /// The `[c, n*h*w]` channel-major copy of an NCHW tensor.
+    fn channel_major(t: &Tensor) -> Vec<f32> {
+        let [n, c, h, w] = t.shape().as_nchw().unwrap();
+        let plane = h * w;
+        let mut out = Vec::with_capacity(t.len());
+        for ci in 0..c {
+            for b in 0..n {
+                let at = (b * c + ci) * plane;
+                out.extend_from_slice(&t.as_slice()[at..at + plane]);
+            }
+        }
+        out
+    }
+
+    /// Conv2d's backward as the two kernels compose it: dW is one GEMM
+    /// over the channel-major view of `dy` and the im2col view of `x`, dx
+    /// the transposed convolution of `dy`.
+    fn composed(weight: &[f32], dy: &Tensor, x: &Tensor, spec: &Im2ColSpec) -> (Vec<f32>, Tensor) {
+        let dy_m = MatRef::im2col(dy, &Im2ColSpec::square(1, 1, 0)).unwrap();
+        let cols = MatRef::im2col(x, spec).unwrap();
+        let mut dw = vec![f32::NAN; weight.len()];
+        gemm(dy_m, cols.t(), &mut dw, None);
+        let mut dx = Tensor::full(x.dims(), f32::NAN);
+        conv_transpose_fused(weight, dy, None, &mut dx, spec).unwrap();
+        (dw, dx)
+    }
+
+    /// The unfused reference over stored matrices, exactly as
+    /// Conv2d::backward ran before fusion.
     #[allow(clippy::too_many_arguments)]
     fn unfused(
         weight: &[f32],
@@ -399,16 +378,15 @@ mod tests {
         let k = c * spec.kernel_h * spec.kernel_w;
         let ncols = n * oh * ow;
         let weight = random_vec(out_c * k, seed);
-        let dy = random_vec(out_c * ncols, seed + 1);
+        let dy = Tensor::from_vec(random_vec(out_c * ncols, seed + 1), &[n, out_c, oh, ow]).unwrap();
         let x = Tensor::from_vec(random_vec(n * c * h * w, seed + 2), &dims).unwrap();
         let cols = im2col(&x, &spec).unwrap();
 
-        let (dw_ref, dx_ref) = unfused(&weight, &dy, cols.as_slice(), &spec, dims, out_c, k, ncols);
-        let mut dw = vec![f32::NAN; out_c * k];
-        let mut dx = Tensor::full(&dims, f32::NAN);
-        conv_backward_fused(&weight, &dy, &x, &mut dw, &mut dx, &spec, out_c).unwrap();
-        assert_eq!(dw, dw_ref, "dw fused vs unfused");
-        assert_eq!(dx.as_slice(), dx_ref.as_slice(), "dx fused vs unfused");
+        let dy_cm = channel_major(&dy);
+        let (dw_ref, dx_ref) = unfused(&weight, &dy_cm, cols.as_slice(), &spec, dims, out_c, k, ncols);
+        let (dw, dx) = composed(&weight, &dy, &x, &spec);
+        assert_eq!(dw, dw_ref, "dw composed vs unfused");
+        assert_eq!(dx.as_slice(), dx_ref.as_slice(), "dx composed vs unfused");
     }
 
     #[test]
@@ -456,21 +434,29 @@ mod tests {
         // its channel's bias before the scatter adds anything.
         let spec = Im2ColSpec::square(1, 1, 0);
         let mut y = Tensor::full(&[1, 2, 2, 2], f32::NAN);
-        conv_transpose_fused(&[0.0; 6], &[1.0; 12], &[0.5, -1.5], &mut y, &spec, 3).unwrap();
+        let x = Tensor::ones(&[1, 3, 2, 2]);
+        conv_transpose_fused(&[0.0; 6], &x, Some(&[0.5, -1.5]), &mut y, &spec).unwrap();
         assert_eq!(y.as_slice(), &[0.5, 0.5, 0.5, 0.5, -1.5, -1.5, -1.5, -1.5]);
     }
 
     #[test]
     fn rejects_bad_lengths() {
         let spec = Im2ColSpec::square(3, 1, 1);
-        let mut dx = Tensor::zeros(&[1, 1, 4, 4]);
-        let mut dw = vec![0.0; 9];
-        // dy too short for out_c=1, ncols=16.
         let x = Tensor::zeros(&[1, 1, 4, 4]);
-        assert!(conv_backward_fused(&[0.0; 9], &[0.0; 8], &x, &mut dw, &mut dx, &spec, 1).is_err());
-        // dx must have the input's shape.
-        let mut dx = Tensor::zeros(&[1, 1, 4, 5]);
-        let err = conv_backward_fused(&[0.0; 9], &[0.0; 16], &x, &mut dw, &mut dx, &spec, 1);
-        assert!(err.is_err());
+        let w = [0.0; 18];
+        // Weight length, bias length, the output grid and the batch must
+        // all agree with the input.
+        for (dims, w_len, bias_len) in [
+            ([1, 2, 4, 4], 17, 2),
+            ([1, 2, 4, 4], 18, 1),
+            ([1, 2, 4, 5], 18, 2),
+            ([2, 2, 4, 4], 18, 2),
+        ] {
+            let mut y = Tensor::zeros(&dims);
+            let bias = vec![0.0; bias_len];
+            assert!(conv_transpose_fused(&w[..w_len], &x, Some(&bias), &mut y, &spec).is_err());
+        }
+        let mut y = Tensor::zeros(&[1, 2, 4, 4]);
+        assert!(conv_transpose_fused(&w, &x, None, &mut y, &spec).is_ok());
     }
 }

@@ -125,15 +125,10 @@ pub fn im2col(input: &Tensor, spec: &Im2ColSpec) -> Result<Tensor> {
     Ok(out)
 }
 
-/// [`im2col`] into a caller-owned matrix, enabling workspace reuse. `out`
-/// must already have shape `[c*kh*kw, n*oh*ow]`; every element (including
-/// padding zeros) is overwritten, so a recycled buffer needs no clearing.
-///
-/// # Errors
-///
-/// Returns an error if `input` is not rank 4, the geometry is invalid, or
-/// `out` has the wrong shape.
-pub fn im2col_into(input: &Tensor, spec: &Im2ColSpec, out: &mut Tensor) -> Result<()> {
+/// [`im2col`] into a caller-owned matrix. `out` must already have shape
+/// `[c*kh*kw, n*oh*ow]`; every element (including padding zeros) is
+/// overwritten, so a recycled buffer needs no clearing.
+fn im2col_into(input: &Tensor, spec: &Im2ColSpec, out: &mut Tensor) -> Result<()> {
     let image = Im2ColImage::new(input, spec)?;
     let (rows, cols) = (image.rows(), image.cols());
     if out.dims() != [rows, cols] {
@@ -267,8 +262,10 @@ impl<'a> Im2ColImage<'a> {
     /// column `from`, to `dst[i * stride]`. The run is walked one output
     /// row `(item, oy)` at a time, with no division: rows in the vertical
     /// padding and the ends of a row in the horizontal padding are zero
-    /// fills, the rest is a strided gather (a copy at unit strides). This
-    /// is what packing a GEMM panel costs, in either orientation.
+    /// fills, the rest is a strided gather (a copy at unit strides). Under
+    /// the 1×1, stride-1, unpadded spec the run is walked one item plane
+    /// at a time instead. This is what packing a GEMM panel costs, in
+    /// either orientation.
     ///
     /// # Panics
     ///
@@ -278,6 +275,27 @@ impl<'a> Im2ColImage<'a> {
         let (oh, ow) = self.out_hw;
         let spec = &self.spec;
         assert!(tap.ci < c, "im2col row outside the matrix");
+        if *spec == Im2ColSpec::square(1, 1, 0) {
+            // The channel-major matrix: row `ci` is the items' `ci` planes
+            // end to end, so the run is one copy per plane it touches.
+            let plane = h * w;
+            let (mut item, mut pos, mut at) = (from.item, from.oy * ow + from.ox, 0);
+            while at < len {
+                assert!(item < n, "im2col run outside the matrix");
+                let run = (plane - pos).min(len - at);
+                let start = (item * c + tap.ci) * plane + pos;
+                let src = &self.data[start..start + run];
+                if stride == 1 {
+                    dst[at..at + run].copy_from_slice(src);
+                } else {
+                    for (i, &v) in src.iter().enumerate() {
+                        dst[(at + i) * stride] = v;
+                    }
+                }
+                (item, pos, at) = (item + 1, 0, at + run);
+            }
+            return;
+        }
         let off_x = tap.kx as isize - spec.pad_w as isize;
         let ix = |ox: usize| (ox * spec.stride_w) as isize + off_x;
         let zero = |dst: &mut [f32], at: usize, n: usize| {

@@ -59,8 +59,8 @@ pub use alloc::{allocated_bytes, note_workspace_bytes, peak_workspace_bytes, res
 pub use error::TensorError;
 pub use fft::Complex;
 pub use fnv::Fnv1a;
-pub use fused::{conv_backward_fused, conv_forward_fused, conv_transpose_fused};
-pub use im2col::{col2im, im2col, im2col_into, Im2ColSpec};
+pub use fused::{conv_forward_fused, conv_transpose_fused};
+pub use im2col::{col2im, im2col, Im2ColSpec};
 pub use matmul::{gemm, matmul, matmul_transpose_a, matmul_transpose_b, packed_panels, MatRef};
 pub use shape::Shape;
 pub use simd::{active_level, configure_simd, detect_level, parse_level, with_level, KernelLevel};

@@ -173,38 +173,6 @@ pub fn resize_bilinear(input: &Tensor, out_h: usize, out_w: usize) -> Result<Ten
     Ok(out)
 }
 
-/// Nearest-neighbour resize, preserving hard (binary) edges.
-///
-/// Preferred over bilinear for monochrome resist masks where interpolated
-/// grey values would blur the class boundary.
-///
-/// # Errors
-///
-/// Same conditions as [`resize_bilinear`].
-pub fn resize_nearest(input: &Tensor, out_h: usize, out_w: usize) -> Result<Tensor> {
-    let [n, c, h, w] = input.shape().as_nchw()?;
-    if out_h == 0 || out_w == 0 {
-        return Err(TensorError::InvalidArgument(
-            "resize target must be nonzero".into(),
-        ));
-    }
-    let mut out = Tensor::zeros(&[n, c, out_h, out_w]);
-    let src = input.as_slice();
-    let dst = out.as_mut_slice();
-    for plane in 0..n * c {
-        let src_plane = plane * h * w;
-        let dst_plane = plane * out_h * out_w;
-        for oy in 0..out_h {
-            let sy = (oy * h / out_h).min(h - 1);
-            for ox in 0..out_w {
-                let sx = (ox * w / out_w).min(w - 1);
-                dst[dst_plane + oy * out_w + ox] = src[src_plane + sy * w + sx];
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,20 +256,9 @@ mod tests {
     }
 
     #[test]
-    fn nearest_preserves_binary_values() {
-        let t = Tensor::from_vec(vec![0.0, 1.0, 1.0, 0.0], &[1, 1, 2, 2]).unwrap();
-        let r = resize_nearest(&t, 8, 8).unwrap();
-        for &v in r.as_slice() {
-            assert!(v == 0.0 || v == 1.0);
-        }
-        // Upscaled area proportions survive exactly for a 2x2 -> 8x8 resize.
-        assert_eq!(r.sum(), 32.0);
-    }
-
-    #[test]
     fn resize_rejects_zero_target() {
         let t = Tensor::zeros(&[1, 1, 2, 2]);
         assert!(resize_bilinear(&t, 0, 4).is_err());
-        assert!(resize_nearest(&t, 4, 0).is_err());
+        assert!(resize_bilinear(&t, 4, 0).is_err());
     }
 }

@@ -123,11 +123,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its flat data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-dimensional index.
     ///
     /// # Errors
@@ -275,25 +270,11 @@ impl Tensor {
         }
     }
 
-    /// Multiplies every element by `alpha` in place.
-    pub fn scale_assign(&mut self, alpha: f32) {
-        for a in &mut self.data {
-            *a *= alpha;
-        }
-    }
-
     /// Applies `f` to every element, returning a new tensor.
     pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&a| f(a)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_assign<F: Fn(f32) -> f32>(&mut self, f: F) {
-        for a in &mut self.data {
-            *a = f(*a);
         }
     }
 
@@ -344,31 +325,6 @@ impl Tensor {
             .map(|(a, b)| (a - b).abs())
             .sum();
         Ok(total / self.data.len() as f32)
-    }
-
-    /// Extracts one item of the leading (batch) dimension as a tensor of
-    /// rank `rank() - 1`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidArgument`] if `index` is out of range
-    /// or the tensor is rank 0.
-    pub fn slice_batch(&self, index: usize) -> Result<Tensor> {
-        if self.shape.rank() == 0 {
-            return Err(TensorError::RankMismatch {
-                expected: 1,
-                actual: 0,
-            });
-        }
-        let n = self.shape.dim(0);
-        if index >= n {
-            return Err(TensorError::InvalidArgument(format!(
-                "batch index {index} out of range for batch size {n}"
-            )));
-        }
-        let inner: usize = self.shape.dims()[1..].iter().product();
-        let data = self.data[index * inner..(index + 1) * inner].to_vec();
-        Tensor::from_vec(data, &self.shape.dims()[1..])
     }
 
     /// Stacks rank-`r` tensors into a rank-`r+1` tensor along a new leading
@@ -526,11 +482,10 @@ mod tests {
     fn stack_and_slice_batch_round_trip() {
         let a = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
         let b = Tensor::from_vec(vec![3.0, 4.0], &[2]).unwrap();
-        let s = Tensor::stack(&[a.clone(), b.clone()]).unwrap();
+        let s = Tensor::stack(&[a, b]).unwrap();
         assert_eq!(s.dims(), &[2, 2]);
-        assert_eq!(s.slice_batch(0).unwrap(), a);
-        assert_eq!(s.slice_batch(1).unwrap(), b);
-        assert!(s.slice_batch(2).is_err());
+        // Item i of the stack is input i.
+        assert_eq!(s.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

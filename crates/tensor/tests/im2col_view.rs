@@ -39,7 +39,8 @@ fn geometry(dims: [usize; 4], kernel: usize, stride: usize, pad: usize, out_c: u
 
 /// Output maps of 1², 2², 8² and 64², single (64², 65×64) and grouped
 /// item windows, a partial last window (8², n = 5: windows of 4 and 1),
-/// `k` past `KC`, `out_c` past `MC`, and a single window past `NC`.
+/// `k` past `KC`, `out_c` past `MC`, and a single window past `NC`; and
+/// the 1×1/s1/p0 spec at maps of 1², 2², 4² and 64².
 fn geometries() -> Vec<Geometry> {
     vec![
         geometry([3, 30, 8, 8], 3, 1, 1, 7), // 8², k = 270, grouped window
@@ -49,6 +50,12 @@ fn geometries() -> Vec<Geometry> {
         geometry([2, 2, 64, 64], 3, 1, 1, 5), // 64², n·oh·ow = 8192 past NC
         geometry([1, 1, 65, 64], 5, 1, 2, 3), // one 4160-column window past NC
         geometry([2, 3, 128, 128], 5, 2, 2, 8), // 64² at stride 2
+        // 1×1, stride 1, unpadded: the channel-major matrix the layers read
+        // activations and gradients through. Its runs cross item planes.
+        geometry([7, 300, 1, 1], 1, 1, 0, 4), // 1², k = 300 past KC
+        geometry([9, 20, 2, 2], 1, 1, 0, 7), // 2², every run crosses items
+        geometry([6, 260, 4, 4], 1, 1, 0, 5), // 4², k = 260 past KC
+        geometry([3, 5, 64, 64], 1, 1, 0, 3), // 64², 12288 columns past NC
     ]
 }
 

@@ -10,10 +10,10 @@
 //! |---------------------------|------------------------------------|
 //! | GEMM (all variants)       | relative ~1e-5 (+ ~1e-6·k absolute |
 //! |                           | for cancellation-heavy dots)       |
-//! | fused conv-backward dW    | the GEMM's (one GEMM over colsᵀ);  |
+//! | conv-backward dW          | the GEMM's (one GEMM over colsᵀ);  |
 //! |                           | checked here at relative ~1e-4     |
-//! | fused conv-backward dx    | exact vs the unfused composition   |
-//! |                           | at the same level; GEMM tier       |
+//! | conv-backward dx          | exact vs the unfused composition   |
+//! | (`conv_transpose_fused`)  | at the same level; GEMM tier       |
 //! |                           | across levels                      |
 //! | im2col                    | exact (bitwise)                    |
 //! | col2im (incl. stride-1)   | exact (bitwise)                    |
@@ -28,8 +28,8 @@
 
 use litho_tensor::rng::{Rng, SeedableRng, StdRng};
 use litho_tensor::{
-    col2im, conv_backward_fused, detect_level, im2col, matmul, matmul_transpose_a,
-    matmul_transpose_b, pool, simd, with_level, Im2ColSpec, KernelLevel, Tensor,
+    col2im, conv_transpose_fused, detect_level, gemm, im2col, matmul, matmul_transpose_a,
+    matmul_transpose_b, pool, simd, with_level, Im2ColSpec, KernelLevel, MatRef, Tensor,
 };
 
 const GEMM_REL: f32 = 1e-5;
@@ -176,29 +176,44 @@ fn lowering_is_bitwise_identical_across_levels() {
 }
 
 // ---------------------------------------------------------------------------
-// Fused conv backward: at every level the fusion is bitwise identical to
-// the unfused matmul_transpose_a → col2im composition (same rounding
-// sequence). Across levels, dx and dW (one GEMM each) inherit the GEMM
-// tier; dW is held to the looser ~1e-4 relative bound here.
+// Conv backward as the layer composes it — dW = gemm(dy, im2col(x)ᵀ) over
+// the channel-major view of dy, dx = conv_transpose_fused(W, dy): at every
+// level dx is bitwise identical to the unfused matmul_transpose_a → col2im
+// composition (same rounding sequence). Across levels, dx and dW (one GEMM
+// each) inherit the GEMM tier; dW is held to the looser ~1e-4 relative
+// bound here.
 // ---------------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
 fn fused_backward_at(
     level: KernelLevel,
     weight: &[f32],
-    dy: &[f32],
+    dy: &Tensor,
     input: &Tensor,
-    dims: &[usize; 4],
     spec: &Im2ColSpec,
-    out_c: usize,
-    k: usize,
 ) -> (Vec<f32>, Tensor) {
-    let mut dw = vec![0.0f32; out_c * k];
-    let mut dx = Tensor::zeros(dims);
+    let mut dw = vec![0.0f32; weight.len()];
+    let mut dx = Tensor::zeros(input.dims());
     with_level(level, || {
-        conv_backward_fused(weight, dy, input, &mut dw, &mut dx, spec, out_c).unwrap();
+        let dy_m = MatRef::im2col(dy, &Im2ColSpec::square(1, 1, 0)).unwrap();
+        let cols = MatRef::im2col(input, spec).unwrap();
+        gemm(dy_m, cols.t(), &mut dw, None);
+        conv_transpose_fused(weight, dy, None, &mut dx, spec).unwrap();
     });
     (dw, dx)
+}
+
+/// The `[c, n*h*w]` channel-major copy of an NCHW tensor.
+fn channel_major(t: &Tensor) -> Tensor {
+    let [n, c, h, w] = t.shape().as_nchw().unwrap();
+    let plane = h * w;
+    let mut out = Vec::with_capacity(t.len());
+    for ci in 0..c {
+        for b in 0..n {
+            let at = (b * c + ci) * plane;
+            out.extend_from_slice(&t.as_slice()[at..at + plane]);
+        }
+    }
+    Tensor::from_vec(out, &[c, n * plane]).unwrap()
 }
 
 #[test]
@@ -214,37 +229,18 @@ fn fused_conv_backward_tiers_hold() {
         let [n, c, h, w] = *dims;
         let k = c * spec.kernel_h * spec.kernel_w;
         let (oh, ow) = spec.output_size(h, w).unwrap();
-        let ncols = n * oh * ow;
 
         let x = tensor(&mut rng, dims);
         let weight = vals(&mut rng, out_c * k);
-        let dy = vals(&mut rng, out_c * ncols);
+        let dy = tensor(&mut rng, &[n, *out_c, oh, ow]);
 
-        let (dw_s, dx_s) = fused_backward_at(
-            KernelLevel::Scalar,
-            &weight,
-            &dy,
-            &x,
-            dims,
-            spec,
-            *out_c,
-            k,
-        );
-        let (dw_v, dx_v) = fused_backward_at(
-            KernelLevel::Avx2,
-            &weight,
-            &dy,
-            &x,
-            dims,
-            spec,
-            *out_c,
-            k,
-        );
+        let (dw_s, dx_s) = fused_backward_at(KernelLevel::Scalar, &weight, &dy, &x, spec);
+        let (dw_v, dx_v) = fused_backward_at(KernelLevel::Avx2, &weight, &dy, &x, spec);
 
         // Same-level determinism contract: fusion == the unfused
         // composition, bit for bit, at whichever level is pinned.
         let w_t = Tensor::from_vec(weight.clone(), &[*out_c, k]).unwrap();
-        let dy_t = Tensor::from_vec(dy.clone(), &[*out_c, ncols]).unwrap();
+        let dy_t = channel_major(&dy);
         for (level, dx_fused) in [(KernelLevel::Scalar, &dx_s), (KernelLevel::Avx2, &dx_v)] {
             let dx_unfused = with_level(level, || {
                 let dcols = matmul_transpose_a(&w_t, &dy_t).unwrap();
@@ -408,18 +404,16 @@ fn tiers_hold_across_thread_counts() {
     let out_c = 8usize;
     let kk = dims[1] * spec.kernel_h * spec.kernel_w;
     let (oh, ow) = spec.output_size(dims[2], dims[3]).unwrap();
-    let ncols = dims[0] * oh * ow;
     let x = tensor(&mut rng, &dims);
     let weight = vals(&mut rng, out_c * kk);
-    let dy = vals(&mut rng, out_c * ncols);
+    let dy = tensor(&mut rng, &[dims[0], out_c, oh, ow]);
 
     let reference: Vec<(KernelLevel, Tensor, Vec<f32>, Tensor)> = levels()
         .iter()
         .map(|&l| {
             pool::configure_threads(1);
             let mm = with_level(l, || matmul(&a, &b).unwrap());
-            let (dw, dx) =
-                fused_backward_at(l, &weight, &dy, &x, &dims, &spec, out_c, kk);
+            let (dw, dx) = fused_backward_at(l, &weight, &dy, &x, &spec);
             (l, mm, dw, dx)
         })
         .collect();
@@ -432,8 +426,7 @@ fn tiers_hold_across_thread_counts() {
                 &mm, mm_ref,
                 "matmul at {l:?} not thread-invariant ({threads} threads)"
             );
-            let (dw, dx) =
-                fused_backward_at(*l, &weight, &dy, &x, &dims, &spec, out_c, kk);
+            let (dw, dx) = fused_backward_at(*l, &weight, &dy, &x, &spec);
             assert_eq!(
                 &dx, dx_ref,
                 "fused dx at {l:?} not thread-invariant ({threads} threads)"

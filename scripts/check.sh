@@ -25,6 +25,10 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc --offline (warnings denied)"
+# A doc link to a deleted or private name fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 cli=target/release/lithogan_cli
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
